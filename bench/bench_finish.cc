@@ -50,8 +50,8 @@ void run_dense_pattern(Pragma pragma, int places, std::uint64_t& ctrl_msgs,
     tr.reset_stats();
     // The paper's FINISH_DENSE example verbatim (§3.1): nested finishes,
     // one homed at every place, with direct communication between any two
-    // places — so under DEFAULT every place sends termination snapshots to
-    // every other place's finish home.
+    // places — so under DEFAULT every place reports its counter block (once
+    // per drain) to every other place's finish home.
     finish(pragma, [&, pragma] {
       for (int p = 0; p < num_places(); ++p) {
         asyncAt(p, [pragma] {

@@ -391,6 +391,29 @@ void send_snapshot_home(Runtime& rt, const Snapshot& snap, Pragma mode) {
   rt.transport().send_am(here(), key.home, rt.am_snapshot(), std::move(buf));
 }
 
+/// Counts one completion in the current place's block for `ctx`. When that
+/// leaves the block drained (every task received here has completed), the
+/// whole block ships home as one snapshot, cut under the same lock as the
+/// completion. Every counter change comes from a live activity at this
+/// place, so the drain that follows it always reports it: one snapshot per
+/// drain, however many activities ran in between (the paper's coalescing).
+void complete_in_block(Runtime& rt, const FinCtx& ctx) {
+  Snapshot snap;
+  {
+    auto& ps = rt.pstate(here());
+    RemoteBlock* b = get_block(rt, here(), ctx.key, ctx.mode);
+    std::scoped_lock lock(ps.fin_mu);
+    if (++b->completed != b->received) return;
+    snap.key = ctx.key;
+    snap.place = here();
+    snap.seq = ++b->flush_seq;
+    snap.received = b->received;
+    snap.completed = b->completed;
+    snap.sent.assign(b->sent.begin(), b->sent.end());
+  }
+  send_snapshot_home(rt, snap, ctx.mode);
+}
+
 }  // namespace
 
 bool fin_before_remote_spawn(Runtime& rt, const FinCtx& ctx, int dst,
@@ -403,7 +426,6 @@ bool fin_before_remote_spawn(Runtime& rt, const FinCtx& ctx, int dst,
       RemoteBlock* b = get_block(rt, here(), ctx.key, ctx.mode);
       std::scoped_lock lock(ps.fin_mu);
       ++b->sent[dst];
-      b->dirty = true;
       return false;
     }
     case Pragma::kHere:
@@ -439,7 +461,6 @@ FinCtx fin_task_received(Runtime& rt, FinishKey key, Pragma mode) {
     RemoteBlock* b = get_block(rt, here(), key, mode);
     std::scoped_lock lock(ps.fin_mu);
     ++b->received;
-    b->dirty = true;
   }
   return ctx;
 }
@@ -453,7 +474,6 @@ void fin_remote_local_spawn(Runtime& rt, const FinCtx& ctx) {
   // A local spawn is a send to self that arrives instantly.
   ++b->sent[here()];
   ++b->received;
-  b->dirty = true;
 }
 
 void fin_activity_completed(Runtime& rt, const Activity& act) {
@@ -471,20 +491,12 @@ void fin_activity_completed(Runtime& rt, const Activity& act) {
   }
   switch (ctx.mode) {
     case Pragma::kDefault:
-    case Pragma::kDense: {
-      {
-        auto& ps = rt.pstate(here());
-        RemoteBlock* b = get_block(rt, here(), ctx.key, ctx.mode);
-        std::scoped_lock lock(ps.fin_mu);
-        ++b->completed;
-        b->dirty = true;
-      }
-      // Flush at activity granularity: the snapshot carries this activity's
-      // completion together with every send it performed (coalescing), which
-      // is what makes the matrix condition reorder-safe.
-      fin_flush_block(rt, ctx.key, ctx.mode);
+    case Pragma::kDense:
+      // The snapshot that reports this completion also carries every send
+      // the activity performed, which is what makes the matrix condition
+      // reorder-safe.
+      complete_in_block(rt, ctx);
       break;
-    }
     case Pragma::kAsync:
     case Pragma::kSpmd: {
       x10rt::ByteBuffer frame = rt.transport().acquire_buffer();
@@ -542,37 +554,6 @@ void fin_report_exception(Runtime& rt, const FinCtx& ctx,
             key, [&ep](FinishHome& fh) { fh.on_exception(ep); });
       },
       64);
-}
-
-void fin_flush_block(Runtime& rt, FinishKey key, Pragma mode) {
-  Snapshot snap;
-  {
-    auto& ps = rt.pstate(here());
-    std::scoped_lock lock(ps.fin_mu);
-    auto it = ps.blocks.find(key);
-    if (it == ps.blocks.end() || !it->second->dirty) return;
-    RemoteBlock& b = *it->second;
-    snap.key = key;
-    snap.place = here();
-    snap.seq = ++b.flush_seq;
-    snap.received = b.received;
-    snap.completed = b.completed;
-    snap.sent.assign(b.sent.begin(), b.sent.end());
-    b.dirty = false;
-  }
-  send_snapshot_home(rt, snap, mode);
-}
-
-void fin_flush_all_dirty(Runtime& rt, int place) {
-  std::vector<std::pair<FinishKey, Pragma>> to_flush;
-  {
-    auto& ps = rt.pstate(place);
-    std::scoped_lock lock(ps.fin_mu);
-    for (const auto& [key, block] : ps.blocks) {
-      if (block->dirty) to_flush.emplace_back(key, block->mode);
-    }
-  }
-  for (const auto& [key, mode] : to_flush) fin_flush_block(rt, key, mode);
 }
 
 void dense_relay_enqueue(Runtime& rt, int at_place, int final_home,
@@ -704,15 +685,7 @@ void copy_complete(const FinCtx& ctx) {
     ctx.home->local_complete();
     return;
   }
-  Runtime& rt = Runtime::get();
-  {
-    auto& ps = rt.pstate(here());
-    RemoteBlock* b = get_block(rt, here(), ctx.key, ctx.mode);
-    std::scoped_lock lock(ps.fin_mu);
-    ++b->completed;
-    b->dirty = true;
-  }
-  fin_flush_block(rt, ctx.key, ctx.mode);
+  complete_in_block(Runtime::get(), ctx);
 }
 
 }  // namespace detail_rail

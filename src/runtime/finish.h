@@ -4,10 +4,12 @@
 // The general ("default") protocol is the transit-matrix algorithm:
 // every place keeps, per finish, a cumulative counter block
 //   { sent[q], received, completed }
-// and flushes the *whole block* to the finish's home place as one atomic,
-// sequence-numbered snapshot (this is the coalescing + compression the paper
-// describes; snapshots are sparse). The home place holds the O(P^2) matrix of
-// latest rows and declares termination when, for every place q,
+// and, whenever an activity completion leaves the block drained
+// (completed == received), flushes the *whole block* to the finish's home
+// place as one atomic, sequence-numbered snapshot (this is the coalescing +
+// compression the paper describes; snapshots are sparse). The home place
+// holds the O(P^2) matrix of latest rows and declares termination when, for
+// every place q,
 //     sum_p sent_p[q] == received_q == completed_q
 // and no home-local activities remain. Snapshot atomicity — an activity's
 // completion travels in the same snapshot as the sends it performed — makes
@@ -40,7 +42,6 @@ struct RemoteBlock {
   std::uint64_t received = 0;
   std::uint64_t completed = 0;
   std::uint64_t flush_seq = 0;  // sequence number of the last flushed snapshot
-  bool dirty = false;
   Pragma mode = Pragma::kDefault;  // kDefault or kDense (routing decision)
 };
 
@@ -179,13 +180,6 @@ void fin_activity_completed(Runtime& rt, const Activity& act);
 /// Ship an exception to the finish home.
 void fin_report_exception(Runtime& rt, const FinCtx& ctx,
                           std::exception_ptr ep);
-
-/// Flush the current place's dirty block for `key` (default protocol sends
-/// straight home; dense routes via node masters).
-void fin_flush_block(Runtime& rt, FinishKey key, Pragma mode);
-
-/// Idle hook body: flush every dirty block at `place`.
-void fin_flush_all_dirty(Runtime& rt, int place);
 
 /// Node-master relay for FINISH_DENSE: enqueue an encoded snapshot frame
 /// destined for `final_home`, batching at this hop.

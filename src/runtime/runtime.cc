@@ -336,10 +336,8 @@ Runtime::Runtime(const Config& cfg, const launcher::SocketWiring* wiring)
   for (int p = 0; p < cfg_.places; ++p) {
     auto ps = std::make_unique<PlaceState>();
     ps->sched = std::make_unique<Scheduler>(*this, p);
-    ps->sched->add_idle_hook([this, p] { fin_flush_all_dirty(*this, p); });
-    // Registered after the finish flusher on purpose: snapshots the finish
-    // hook just encoded land in this same idle transition's envelopes, so a
-    // place going idle never parks termination-detection traffic (the
+    // A place going idle flushes its partial envelopes, so finish snapshots
+    // and every other control record never park behind an idle sender (the
     // no-deadlock half of the coalescing contract — docs/transport.md).
     ps->sched->add_idle_hook([this, p] {
       transport_->flush_coalesced(p, x10rt::FlushReason::kIdle);

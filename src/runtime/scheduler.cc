@@ -286,8 +286,8 @@ void Scheduler::run_until(const std::function<bool()>& done) {
       continue;
     }
     idle_transitions_.fetch_add(1, std::memory_order_relaxed);
-    // Transitioned to idle: give hooks (dirty finish-block flushers, dense
-    // relays) a chance to produce the control traffic that unblocks others.
+    // Transitioned to idle: give hooks (partial-envelope flushes,
+    // retransmits) a chance to release the traffic that unblocks others.
     run_idle_hooks();
     if (done()) return;
     if (step()) {

@@ -84,7 +84,7 @@ class Scheduler {
   void unbind_worker();
 
   /// Registers a hook invoked when the place transitions to idle (e.g. the
-  /// dirty-finish-block flusher). Hooks are append-only and must be
+  /// partial-envelope flush of the coalescing layer). Hooks are append-only and must be
   /// registered before the first worker runs; the hot path reads the list
   /// through one atomic pointer load, no lock.
   void add_idle_hook(std::function<void()> hook);

@@ -101,6 +101,9 @@ class ByteBuffer {
   }
 
   void get_raw(void* dst, std::size_t n) {
+    // An empty read (e.g. decoding an empty vector) may pass a null `dst`,
+    // and memcpy's pointers must be non-null even for zero bytes.
+    if (n == 0) return;
     check_remaining(n);
     std::memcpy(dst, data_.data() + cursor_, n);
     cursor_ += n;

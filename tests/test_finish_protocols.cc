@@ -3,6 +3,7 @@
 // under message reordering (chaos), and the control-traffic properties
 // (coalescing, DENSE software routing) that motivate them.
 #include "runtime/api.h"
+#include "runtime/metrics.h"
 
 #include <gtest/gtest.h>
 
@@ -245,6 +246,67 @@ TEST(FinishProtocols, SpecializedProtocolsSurviveChaos) {
     });
     EXPECT_EQ(n.load(), 5);
   });
+}
+
+// --- drain-rule snapshot coalescing -----------------------------------------
+//
+// A place reports its counter block for a matrix finish when an activity
+// completion leaves the block drained (completed == received), not after
+// every completion.
+
+TEST(FinishProtocols, LocalFanoutAtRemotePlaceSendsOneSnapshot) {
+  // One worker: the 50 children queue behind their parent, so place 1's
+  // block drains exactly once, when the last child completes.
+  Config cfg = cfg_n(2);
+  cfg.workers_per_place = 1;
+  std::atomic<int> n{0};
+  std::uint64_t sent = 0;
+  Runtime::run(cfg, [&] {
+    auto& m = Runtime::get().metrics();
+    const std::uint64_t before = m.value("finish.snapshots.sent");
+    finish(Pragma::kDefault, [&] {
+      asyncAt(1, [&n] {
+        for (int i = 0; i < 50; ++i) async([&n] { n.fetch_add(1); });
+      });
+    });
+    sent = m.value("finish.snapshots.sent") - before;
+  });
+  EXPECT_EQ(n.load(), 50);
+  EXPECT_EQ(sent, 1u);
+}
+
+TEST(FinishProtocols, AllToAllFanInUnderChaosBalancesSnapshots) {
+  // Every place spawns one task at every place; how often a block drains
+  // depends on arrival order, so the count is bounded, not pinned: at least
+  // one snapshot per non-home place, at most one per non-home completion.
+  constexpr int kPlaces = 4;
+  constexpr std::uint64_t kNonHomeCompletions =
+      (kPlaces - 1) + kPlaces * (kPlaces - 1);  // roots + leaves
+  for (std::uint64_t seed : {1ULL, 7ULL, 42ULL, 0x5eedULL, 0xdeadbeefULL}) {
+    SCOPED_TRACE(seed);
+    Config cfg = cfg_n(kPlaces);
+    cfg.chaos.delay_prob = 0.5;
+    cfg.chaos.seed = seed;
+    std::atomic<int> n{0};
+    Runtime::run(cfg, [&] {
+      finish(Pragma::kDefault, [&] {
+        for (int p = 0; p < num_places(); ++p) {
+          asyncAt(p, [&n] {
+            for (int q = 0; q < num_places(); ++q) {
+              asyncAt(q, [&n] { n.fetch_add(1); });
+            }
+          });
+        }
+      });
+    });
+    EXPECT_EQ(n.load(), kPlaces * kPlaces);
+    const auto& m = last_run_metrics();
+    const std::uint64_t sent = m.at("finish.snapshots.sent");
+    EXPECT_EQ(sent,
+              m.at("finish.snapshots.applied") + m.at("finish.snapshots.stale"));
+    EXPECT_GE(sent, static_cast<std::uint64_t>(kPlaces - 1));
+    EXPECT_LE(sent, kNonHomeCompletions);
+  }
 }
 
 // --- control-traffic properties ---------------------------------------------

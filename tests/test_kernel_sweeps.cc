@@ -12,6 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <thread>
+
 namespace {
 
 using namespace apgas;
@@ -209,7 +212,17 @@ TEST(SchedulerStats, CountsActivitiesAndMessages) {
     auto& rt = Runtime::get();
     const auto before = rt.sched(1).activities_executed();
     finish([&] {
-      for (int i = 0; i < 50; ++i) asyncAt(1, [] {});
+      // Place 0 idles only if it finds nothing to do while the finish is
+      // open, so the first task holds every reply back until it has.
+      asyncAt(1, [&rt] {
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (rt.sched(0).idle_transitions() == 0 &&
+               std::chrono::steady_clock::now() < deadline) {
+          std::this_thread::sleep_for(std::chrono::microseconds(100));
+        }
+      });
+      for (int i = 1; i < 50; ++i) asyncAt(1, [] {});
     });
     EXPECT_GE(rt.sched(1).activities_executed(), before + 50);
     EXPECT_GT(rt.sched(1).messages_processed(), 0u);

@@ -14,9 +14,11 @@
 
 #include <unistd.h>
 
+#include <array>
 #include <atomic>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 namespace {
 
@@ -39,20 +41,29 @@ TEST(MetricsParity, RegistryMatchesSchedulerGetters) {
         });
       }
     });
-    // The job is quiescent here (finish returned, we are the only activity),
-    // so live registry reads and getter reads see the same settled values.
+    // Other places keep running after a finish returns (they process its
+    // release and count idle rounds), so each place's counters are read by
+    // an activity at that place: with one worker per place, the only thread
+    // that moves them is busy running the reader.
     Runtime& rt = Runtime::get();
+    std::vector<std::array<std::uint64_t, 6>> reads(kPlaces);
+    finish([&] {
+      for (int p = 0; p < num_places(); ++p) {
+        asyncAt(p, [&rt, &reads, p] {
+          const std::string prefix = "sched.p" + std::to_string(p) + ".";
+          reads[p] = {rt.metrics().value(prefix + "activities_executed"),
+                      rt.sched(p).activities_executed(),
+                      rt.metrics().value(prefix + "messages_processed"),
+                      rt.sched(p).messages_processed(),
+                      rt.metrics().value(prefix + "idle_transitions"),
+                      rt.sched(p).idle_transitions()};
+        });
+      }
+    });
     for (int p = 0; p < kPlaces; ++p) {
-      const std::string prefix = "sched.p" + std::to_string(p) + ".";
-      EXPECT_EQ(rt.metrics().value(prefix + "activities_executed"),
-                rt.sched(p).activities_executed())
-          << "place " << p;
-      EXPECT_EQ(rt.metrics().value(prefix + "messages_processed"),
-                rt.sched(p).messages_processed())
-          << "place " << p;
-      EXPECT_EQ(rt.metrics().value(prefix + "idle_transitions"),
-                rt.sched(p).idle_transitions())
-          << "place " << p;
+      EXPECT_EQ(reads[p][0], reads[p][1]) << "place " << p;
+      EXPECT_EQ(reads[p][2], reads[p][3]) << "place " << p;
+      EXPECT_EQ(reads[p][4], reads[p][5]) << "place " << p;
     }
   });
 }
@@ -137,9 +148,10 @@ TEST(MetricsParity, TeardownSnapshotMatchesLiveValues) {
 // repeated runs; the chaos sweep additionally shows them seed-independent):
 //   * tasks shipped: 3 remote asyncAt (place 0's task short-circuits local);
 //   * finishes opened: the explicit FINISH_DENSE plus Runtime::run's root;
-//   * snapshots: matrix finishes flush at activity granularity — one
-//     snapshot per non-home completion: 3 places x 2 activities = 6 sent,
-//     all applied, 0 stale (no chaos);
+//   * snapshots: a matrix finish's block is flushed when a completion
+//     leaves it drained (completed == received). With one worker per place
+//     the child runs after its parent, so each remote place drains once:
+//     3 sent, all applied, 0 stale (no chaos);
 //   * releases: one close/cleanup message per remote place that hosted
 //     state under the finish -> 3.
 TEST(MetricsParity, PinnedCountsForDenseFanout) {
@@ -163,8 +175,8 @@ TEST(MetricsParity, PinnedCountsForDenseFanout) {
   EXPECT_EQ(m.at("runtime.tasks_shipped"), 3u);
   EXPECT_EQ(m.at("sched.msgs.task"), 3u);
   EXPECT_EQ(m.at("transport.msgs.task"), 3u);
-  EXPECT_EQ(m.at("finish.snapshots.sent"), 6u);
-  EXPECT_EQ(m.at("finish.snapshots.applied"), 6u);
+  EXPECT_EQ(m.at("finish.snapshots.sent"), 3u);
+  EXPECT_EQ(m.at("finish.snapshots.applied"), 3u);
   EXPECT_EQ(m.at("finish.snapshots.stale"), 0u);
   EXPECT_EQ(m.at("finish.releases"), 3u);
   EXPECT_EQ(m.at("finish.credit_msgs"), 0u);  // no FINISH_HERE in play
@@ -195,12 +207,12 @@ TEST(MetricsParity, PinnedCountsForRemoteRootedFinish) {
   EXPECT_EQ(m.at("finish.upgrades"), 2u);  // both kAuto finishes upgraded
   EXPECT_EQ(m.at("runtime.tasks_shipped"), 4u);
   EXPECT_EQ(m.at("sched.msgs.task"), 4u);
-  // Flush-at-completion: outer contributes 1 (place 1's task), inner 3
-  // (places 0, 2, 3), plus place 1's idle-flush of the inner finish's
-  // spawn ledger while waiting = 5. Deterministic; drift means the flush
-  // discipline changed.
-  EXPECT_EQ(m.at("finish.snapshots.sent"), 5u);
-  EXPECT_EQ(m.at("finish.snapshots.applied"), 5u);
+  // Flush-on-drain: each place that hosted tasks of a finish reports once,
+  // when its last one completes. Outer contributes 1 (place 1, after the
+  // inner finish closes), inner 3 (places 0, 2, 3) = 4. Deterministic;
+  // drift means the flush discipline changed.
+  EXPECT_EQ(m.at("finish.snapshots.sent"), 4u);
+  EXPECT_EQ(m.at("finish.snapshots.applied"), 4u);
   EXPECT_EQ(m.at("finish.snapshots.stale"), 0u);
   EXPECT_EQ(m.at("finish.releases"), 4u);  // cleanup per remote host place
 }

@@ -269,6 +269,40 @@ TEST_P(ChaosFourWorkers, ProtocolSurvivesChaosAndStealing) {
   }
 }
 
+TEST(DrainFlushFourWorkers, AllToAllFanInUnderChaos) {
+  // The drain check and the snapshot cut share one fin_mu critical section
+  // with the completion: sibling workers completing and receiving under the
+  // same finish must never lose or double-report a block state.
+  constexpr int kPlaces = 4;
+  constexpr std::uint64_t kNonHomeCompletions =
+      (kPlaces - 1) + kPlaces * (kPlaces - 1);  // roots + leaves
+  for (std::uint64_t seed : {1ULL, 7ULL, 42ULL, 0x5eedULL, 0xdeadbeefULL}) {
+    SCOPED_TRACE(seed);
+    Config cfg = cfg_w(kPlaces, 4);
+    cfg.chaos.delay_prob = 0.5;
+    cfg.chaos.seed = seed;
+    std::atomic<int> n{0};
+    Runtime::run(cfg, [&] {
+      finish(Pragma::kDefault, [&] {
+        for (int p = 0; p < num_places(); ++p) {
+          asyncAt(p, [&n] {
+            for (int q = 0; q < num_places(); ++q) {
+              asyncAt(q, [&n] { n.fetch_add(1); });
+            }
+          });
+        }
+      });
+    });
+    EXPECT_EQ(n.load(), kPlaces * kPlaces);
+    const auto& m = last_run_metrics();
+    const std::uint64_t sent = m.at("finish.snapshots.sent");
+    EXPECT_EQ(sent,
+              m.at("finish.snapshots.applied") + m.at("finish.snapshots.stale"));
+    EXPECT_GE(sent, static_cast<std::uint64_t>(kPlaces - 1));
+    EXPECT_LE(sent, kNonHomeCompletions);
+  }
+}
+
 TEST_P(WorkerCounts, RepeatedSplitDerivesStableIds) {
   // Regression (ISSUE 5): Team::split read the parent's op count without the
   // member lock while collectives bump it via next_seq() — and with work

@@ -47,6 +47,17 @@ TEST(SerTrait, StringsAndVectors) {
   EXPECT_EQ(x10rt::ser_get<std::vector<int>>(b), v);
 }
 
+TEST(SerTrait, EmptyStringsAndVectors) {
+  // Zero-length payloads decode without touching their (null) storage.
+  x10rt::ByteBuffer b;
+  x10rt::ser_put(b, std::string{}, std::vector<int>{},
+                 std::vector<std::string>{});
+  EXPECT_EQ(x10rt::ser_get<std::string>(b), "");
+  EXPECT_TRUE(x10rt::ser_get<std::vector<int>>(b).empty());
+  EXPECT_TRUE(x10rt::ser_get<std::vector<std::string>>(b).empty());
+  EXPECT_EQ(b.remaining(), 0u);
+}
+
 TEST(SerTrait, NestedComposites) {
   // Non-trivially-copyable elements recurse through the trait: vectors of
   // strings, vectors of pairs, tuples mixing all of it.
