@@ -44,9 +44,7 @@ const char* mode_name(TeamMode mode) {
 /// the sweep's place count — the sweep owns `places`, the env owns the rest.
 apgas::Config bench_cfg(int places) {
   Config cfg;
-  bench::observe(cfg);
-  cfg.places = places;
-  return cfg;
+  return bench::observe_places(cfg, places);
 }
 
 void small_op_bench(int places, TeamMode mode, double& barrier_us,

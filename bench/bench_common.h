@@ -40,8 +40,8 @@ inline std::string per_run_path(const std::string& path, int run) {
 ///   APGAS_METRICS=<path>   write metrics at teardown (.json => JSON,
 ///                          anything else => key=value text)
 /// plus the APGAS_* perf knobs (poll_batch, coalesce_bytes/msgs, places,
-/// workers_per_place) via Config::apply_env — note benches that sweep
-/// `cfg.places` themselves overwrite an APGAS_PLACES override afterwards.
+/// workers_per_place) via Config::apply_env. Benches that sweep the place
+/// count use observe_places() instead, so the sweep wins over APGAS_PLACES.
 ///
 /// Trace/metrics paths get a per-run ".rN" suffix (see per_run_path): benches
 /// construct one Config per sweep point, so the Nth observe() call in a
@@ -70,6 +70,24 @@ inline apgas::Config& observe(apgas::Config& cfg) {
   apgas::Config::apply_env(cfg);
   return cfg;
 }
+
+/// observe() for one point of a place-count sweep: `places` is applied last,
+/// so per-place loops sized by the sweep variable always match the runtime
+/// they run in (an APGAS_PLACES override would otherwise shrink or grow it).
+inline apgas::Config& observe_places(apgas::Config& cfg, int places) {
+  observe(cfg);
+  cfg.places = places;
+  return cfg;
+}
+
+/// The `verified` column cell. A "NO" row is latched so the bench can exit
+/// nonzero through exit_status() after printing its whole table.
+inline bool any_unverified = false;
+inline const char* verified(bool ok) {
+  if (!ok) any_unverified = true;
+  return ok ? "yes" : "NO";
+}
+inline int exit_status() { return any_unverified ? 1 : 0; }
 
 /// Prints machine-readable `label key=value` lines for the previous
 /// Runtime::run, skipping the per-place scheduler counters (noise at bench

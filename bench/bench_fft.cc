@@ -29,11 +29,11 @@ int main() {
         bench::row("%8d %8d %10s %12.4f %16.5f %11.0f%% %10s", places,
                    p.log2_size, overlap ? "overlap" : "phased", r.gflops,
                    r.gflops_per_place, 100.0 * r.gflops_per_place / base,
-                   r.verified ? "yes" : "NO");
+                   bench::verified(r.verified));
       });
     }
   }
   bench::row("(paper: 0.99 Gflop/s 1 core -> 0.88 Gflop/s/core at scale; "
              "mid-range dip from cross-section bandwidth)");
-  return 0;
+  return bench::exit_status();
 }

@@ -25,10 +25,10 @@ int main() {
       if (places == 1) base = r.seconds;
       bench::row("%8d %12.3f %13.0f%% %12.1f %10s", places, r.seconds,
                  100.0 * base / r.seconds, r.inertia_per_iter.back(),
-                 r.verified ? "yes" : "NO");
+                 bench::verified(r.verified));
     });
   }
   bench::row("(paper: 6.13s at 1 core -> 6.27s at 47,040 cores; efficiency"
              " never below 97%%)");
-  return 0;
+  return bench::exit_status();
 }

@@ -173,7 +173,6 @@ PumpResult run_pump(int pairs, int reps) {
   return r;
 }
 
-#ifdef APGAS_HAVE_POLL_BATCH
 /// Batched variant of (c): one-way flood of `n` AMs drained with
 /// poll_batch, measuring the amortized per-message cost.
 PumpResult run_pump_batch(int n, int reps) {
@@ -252,7 +251,6 @@ PumpResult run_pump_flood(int n, int reps) {
   r.msgs_per_sec = static_cast<double>(r.pairs) / r.secs;
   return r;
 }
-#endif  // APGAS_HAVE_POLL_BATCH
 
 }  // namespace
 
@@ -291,10 +289,8 @@ int main() {
   bench::row("%12s %10s %10s %14s", "mode", "msgs", "secs", "msgs/s");
   std::vector<PumpResult> pump;
   pump.push_back(run_pump(kPairs, kReps));
-#ifdef APGAS_HAVE_POLL_BATCH
   pump.push_back(run_pump_flood(2 * kPairs, kReps));
   pump.push_back(run_pump_batch(2 * kPairs, kReps));
-#endif
   for (const auto& r : pump) {
     bench::row("%12s %10d %10.4f %14.0f", r.mode.c_str(), 2 * r.pairs, r.secs,
                r.msgs_per_sec);

@@ -25,10 +25,10 @@ int main() {
       bench::row("%8d %14.2f %16.3f %11.0f%% %10s", places,
                  r.gb_per_sec_total, r.gb_per_sec_per_place,
                  100.0 * r.gb_per_sec_per_place / base_per_place,
-                 r.verified ? "yes" : "NO");
+                 bench::verified(r.verified));
     });
   }
   bench::row("(paper: 7.23 GB/s/core at 1 host -> 7.12 at 55,680 cores, 98%%"
              " relative efficiency)");
-  return 0;
+  return bench::exit_status();
 }

@@ -133,9 +133,8 @@ int main() {
     const double direct = direct_stream_gbs();
     double apgas_rate = 0;
     Config cfg;
-    cfg.places = kPlaces;
     cfg.congruent_bytes = 16u << 20;
-    Runtime::run(bench::observe(cfg), [&] {
+    Runtime::run(bench::observe_places(cfg, kPlaces), [&] {
       kernels::StreamParams p;
       p.elements_per_place = 1u << 18;
       p.iterations = 5;
@@ -151,9 +150,8 @@ int main() {
     const double direct = direct_ra_gups();
     double apgas_rate = 0;
     Config cfg;
-    cfg.places = kPlaces;
     cfg.congruent_bytes = 8u << 20;
-    Runtime::run(bench::observe(cfg), [&] {
+    Runtime::run(bench::observe_places(cfg, kPlaces), [&] {
       kernels::RaParams p;
       p.log2_table_per_place = 15;
       apgas_rate = kernels::randomaccess_run(p).gups_per_place;
@@ -168,8 +166,7 @@ int main() {
     const double direct = direct_fft_gflops();
     double apgas_rate = 0;
     Config cfg;
-    cfg.places = kPlaces;
-    Runtime::run(bench::observe(cfg), [&] {
+    Runtime::run(bench::observe_places(cfg, kPlaces), [&] {
       kernels::FftParams p;
       p.log2_size = 19;  // same 2^16 elements per place
       apgas_rate = kernels::fft_run(p).gflops_per_place;
@@ -184,8 +181,7 @@ int main() {
     const double direct = direct_hpl_gflops();
     double apgas_rate = 0;
     Config cfg;
-    cfg.places = kPlaces;
-    Runtime::run(bench::observe(cfg), [&] {
+    Runtime::run(bench::observe_places(cfg, kPlaces), [&] {
       kernels::HplParams p;
       p.n = 512;
       p.nb = 32;

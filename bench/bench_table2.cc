@@ -23,10 +23,9 @@ namespace {
 
 Config cfg_n(int places) {
   Config cfg;
-  cfg.places = places;
   cfg.places_per_node = 8;
   cfg.congruent_bytes = 16u << 20;
-  return bench::observe(cfg);
+  return bench::observe_places(cfg, places);
 }
 
 template <typename F>

@@ -57,7 +57,7 @@ x10rt::TransportConfig probe_cfg(bool coalesce) {
 }
 
 /// One rep of (a): a one-way burst flood — all `n` 8-byte AMs are injected,
-/// the partial tail envelope is flushed the way the scheduler's idle hook
+/// the partial tail envelope is flushed the way an idle scheduler round
 /// would, then the destination drains in poll_batch chunks. Timing the
 /// whole burst (rather than ping-ponging sender and receiver) exposes both
 /// halves of the win: per-message injection overhead *and* the inbox

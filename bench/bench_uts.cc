@@ -158,9 +158,8 @@ int main() {
              "Mnodes/s", "Mnodes/s/place", "imbalance", "verified");
   for (int places : bench::sweep_places()) {
     Config cfg;
-    cfg.places = places;
     cfg.places_per_node = 8;
-    Runtime::run(bench::observe(cfg), [&] {
+    Runtime::run(bench::observe_places(cfg, places), [&] {
       kernels::UtsParams p;
       // Weak scaling: one extra depth level every 4x places (b0 = 4).
       int extra = 0;
@@ -188,7 +187,7 @@ int main() {
                  static_cast<unsigned long long>(nodes), nodes / secs / 1e6,
                  nodes / secs / 1e6 / places,
                  static_cast<double>(max_nodes) / mean,
-                 verified ? "yes" : "NO");
+                 bench::verified(verified));
     });
     bench::maybe_emit_metrics("uts.geometric.places" + std::to_string(places));
   }
@@ -200,9 +199,8 @@ int main() {
              "imbalance", "verified");
   for (int places : {1, 4, 8}) {
     Config cfg;
-    cfg.places = places;
     cfg.places_per_node = 8;
-    Runtime::run(bench::observe(cfg), [&] {
+    Runtime::run(bench::observe_places(cfg, places), [&] {
       kernels::UtsParams p;
       p.shape = kernels::UtsShape::kBinomial;
       p.bin_root = 2000;
@@ -225,9 +223,9 @@ int main() {
                  static_cast<unsigned long long>(nodes), nodes / secs / 1e6,
                  static_cast<double>(max_nodes) * places /
                      static_cast<double>(nodes),
-                 verified ? "yes" : "NO");
+                 bench::verified(verified));
     });
     bench::maybe_emit_metrics("uts.binomial.places" + std::to_string(places));
   }
-  return 0;
+  return bench::exit_status();
 }

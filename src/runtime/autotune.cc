@@ -200,17 +200,20 @@ void Autotune::tick_park(int place, PlaceState& ps) {
   if (sched == nullptr) return;
   const std::uint64_t steals = sched->steals();
   const std::uint64_t overflow = sched->overflow_drained();
-  const std::uint64_t idle = sched->idle_transitions();
+  // Idle is measured in park waits, not busy->idle transitions: a quiet
+  // place transitions once and then parks for the rest of the window, and
+  // that is the window whose ceiling must grow.
+  const std::uint64_t idle = sched->parks();
   std::uint64_t next = 0;
   std::uint64_t cur = 0;
   {
     std::scoped_lock lock(ps.mu);
     const std::uint64_t work_delta =
         (steals - ps.last_steals) + (overflow - ps.last_overflow);
-    const std::uint64_t idle_delta = idle - ps.last_idle;
+    const std::uint64_t idle_delta = idle - ps.last_parks;
     ps.last_steals = steals;
     ps.last_overflow = overflow;
-    ps.last_idle = idle;
+    ps.last_parks = idle;
     cur = sched->park_ceiling_us();
     next = tune::park_next_ceiling(cur, knobs_.park_min_us, knobs_.park_max_us,
                                    work_delta, idle_delta);

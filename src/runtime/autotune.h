@@ -22,13 +22,14 @@
 //   * Worker parking — the park-backoff ceiling of each place's workers
 //     shrinks toward `park_backoff_min_us` while steal/overflow work is
 //     flowing (flood phases spin longer) and grows toward
-//     `park_backoff_max_us` when idle transitions dominate (quiet phases
-//     park sooner and longer).
+//     `park_backoff_max_us` when park waits dominate (quiet phases park
+//     sooner and longer).
 //
-// The controller is ticked (time-gated) from Transport::poll_batch and the
-// scheduler idle hook. It exists only when `Config::autotune > 0`; when off,
-// nothing ever installs a hook or a dynamic threshold and the runtime's
-// behavior is bit-for-bit the static one.
+// The controller is ticked (time-gated) from Transport::poll_batch and from
+// the scheduler on each busy->idle transition. It exists only when
+// `Config::autotune > 0`; when off, nothing ever installs a hook or a
+// dynamic threshold and the runtime's behavior is bit-for-bit the static
+// one.
 //
 // The decision rules live in the `tune` namespace as pure deterministic
 // functions over plain structs so the unit suite exercises them without a
@@ -176,9 +177,10 @@ inline std::size_t coalesce_next_threshold(std::size_t cur, std::size_t cap,
 
 /// One deterministic park-ceiling decision for a place's workers, from the
 /// last window's successful steals + overflow drains (`work_delta`) versus
-/// busy->idle transitions (`idle_delta`). Work-dominated windows halve the
-/// ceiling (short parks ≈ spinning, stay responsive); idle-dominated windows
-/// double it (save the CPU). Both clamped into [min_us, max_us].
+/// park waits on the inbox (`idle_delta`, Scheduler::parks()). Work-dominated
+/// windows halve the ceiling (short parks ≈ spinning, stay responsive);
+/// idle-dominated windows double it (save the CPU). Both clamped into
+/// [min_us, max_us].
 inline std::uint64_t park_next_ceiling(std::uint64_t cur, std::uint64_t min_us,
                                        std::uint64_t max_us,
                                        std::uint64_t work_delta,
@@ -256,8 +258,9 @@ class Autotune {
   /// First-transmission ack latency for (src,dst) (Karn-filtered upstream).
   void on_rtt_sample(int src, int dst, std::uint64_t rtt_ns);
 
-  /// Time-gated tick from the poll path / idle hooks: at most one adjustment
-  /// pass per place per tick_interval_us, one relaxed load + CAS to enter.
+  /// Time-gated tick from the poll path / scheduler busy->idle transition: at
+  /// most one adjustment pass per place per tick_interval_us, one relaxed
+  /// load + CAS to enter.
   void maybe_tick(int place);
 
   /// Unconditional adjustment pass (tests and bench drive phases with this).
@@ -317,7 +320,7 @@ class Autotune {
     // Scheduler counter snapshots for the park delta window.
     std::uint64_t last_steals = 0;
     std::uint64_t last_overflow = 0;
-    std::uint64_t last_idle = 0;
+    std::uint64_t last_parks = 0;
   };
 
   void tick_coalesce(int place, PlaceState& ps);

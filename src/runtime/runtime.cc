@@ -336,24 +336,7 @@ Runtime::Runtime(const Config& cfg, const launcher::SocketWiring* wiring)
   for (int p = 0; p < cfg_.places; ++p) {
     auto ps = std::make_unique<PlaceState>();
     ps->sched = std::make_unique<Scheduler>(*this, p);
-    // A place going idle flushes its partial envelopes, so finish snapshots
-    // and every other control record never park behind an idle sender (the
-    // no-deadlock half of the coalescing contract — docs/transport.md).
-    ps->sched->add_idle_hook([this, p] {
-      transport_->flush_coalesced(p, x10rt::FlushReason::kIdle);
-    });
-    if (cfg_.retx_timeout_us > 0) {
-      // An idle place retransmits its timed-out traffic and settles owed
-      // acks without waiting for the next poll tick.
-      ps->sched->add_idle_hook([this, p] { transport_->retx_pump(p); });
-    }
-    if (autotune_ != nullptr) {
-      // Idle transitions are a natural adjustment point (and the only one a
-      // place that stopped sending would ever reach — poll ticks stop with
-      // the traffic).
-      autotune_->attach_scheduler(p, ps->sched.get());
-      ps->sched->add_idle_hook([at, p] { at->maybe_tick(p); });
-    }
+    if (autotune_ != nullptr) autotune_->attach_scheduler(p, ps->sched.get());
     pstates_.push_back(std::move(ps));
   }
 

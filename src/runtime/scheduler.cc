@@ -1,9 +1,11 @@
 #include "runtime/scheduler.h"
 
+#include <algorithm>
 #include <chrono>
 #include <string>
 #include <thread>
 
+#include "runtime/autotune.h"
 #include "runtime/clocksync.h"
 #include "runtime/config.h"
 #include "runtime/finish.h"
@@ -51,6 +53,8 @@ Scheduler::Scheduler(Runtime& rt, int place)
           "sched.p" + std::to_string(place) + ".messages_processed")),
       idle_transitions_(rt.metrics().counter(
           "sched.p" + std::to_string(place) + ".idle_transitions")),
+      parks_(rt.metrics().counter("sched.p" + std::to_string(place) +
+                                  ".parks")),
       steals_(rt.metrics().counter("sched.p" + std::to_string(place) +
                                    ".steals")),
       overflow_drained_(rt.metrics().counter("sched.p" +
@@ -261,76 +265,67 @@ bool Scheduler::step() {
   return false;
 }
 
-void Scheduler::run_idle_hooks() {
-  const auto* hooks = hooks_.load(std::memory_order_acquire);
-  if (hooks == nullptr) return;
-  for (const auto& hook : *hooks) hook();
-}
-
 void Scheduler::run_until(const std::function<bool()>& done) {
-  using namespace std::chrono_literals;
-  // Spin-then-park: a worker that runs dry first yields the CPU a few times
-  // (cheap; a sibling or the transport usually refills within microseconds),
-  // then parks on the inbox CV with exponentially growing timeouts. The
-  // enter_idle/step/wait sequence is the sleeper side of the Dekker
-  // handshake: after announcing the park we re-check for work once, so a
-  // producer that missed the announcement cannot strand us.
-  // Yield-based spinning keeps workers out of the parked state (and thus
-  // producers out of the notify path) through short work gaps; on an
-  // oversubscribed machine yield() also donates the slice to the producer.
+  // One round: evaluate `done` once (return on the first true — it may have
+  // consumed the state it found), then try one step. Every empty round
+  // ships this place's partial envelopes, so finish snapshots and every
+  // other control record never park behind an idle sender (the no-deadlock
+  // half of the coalescing contract — docs/transport.md), and a sibling
+  // that keeps running gets its sends out within a round; one relaxed load
+  // when nothing is open. The first empty round after work (or on entry) is
+  // a busy->idle transition: counted once, and the autotune controller (if
+  // armed) is ticked — the only adjustment point a place that stopped
+  // sending ever reaches, since poll-path ticks stop with the traffic.
+  // Later empty rounds spin: a few yields (a sibling or the transport
+  // usually refills within microseconds; on an oversubscribed machine
+  // yield() also donates the slice to the producer), then parks on the
+  // inbox CV with exponentially growing timeouts, each counted in
+  // sched.pN.parks. The enter_idle / re-check / wait sequence is the sleeper
+  // side of the Dekker handshake: after announcing the park we look for
+  // work once more, so a producer that missed the announcement cannot
+  // strand us.
   constexpr int kSpinRounds = 6;
-  int idle_rounds = 0;
-  while (!done()) {
-    if (step()) {
-      idle_rounds = 0;
-      continue;
-    }
-    idle_transitions_.fetch_add(1, std::memory_order_relaxed);
-    // Transitioned to idle: give hooks (partial-envelope flushes,
-    // retransmits) a chance to release the traffic that unblocks others.
-    run_idle_hooks();
+  bool busy = true;     // no empty round since the last step that did work
+  int idle_rounds = 0;  // empty rounds since the busy->idle transition
+  for (;;) {
     if (done()) return;
     if (step()) {
-      idle_rounds = 0;
+      busy = true;
       continue;
     }
-    ++idle_rounds;
-    if (idle_rounds <= kSpinRounds) {
+    rt_.transport().flush_coalesced(place_, x10rt::FlushReason::kIdle);
+    if (busy) {
+      busy = false;
+      idle_rounds = 0;
+      idle_transitions_.fetch_add(1, std::memory_order_relaxed);
+      if (Autotune* at = rt_.autotune()) at->maybe_tick(place_);
+      continue;
+    }
+    if (++idle_rounds <= kSpinRounds) {
       std::this_thread::yield();
       continue;
     }
-    int shift = idle_rounds - kSpinRounds - 1;
-    if (shift > 8) shift = 8;
+    const int shift = std::min(idle_rounds - kSpinRounds - 1, 8);
     // Exponential ramp from the configured minimum, capped by the ceiling —
     // which the autotune controller may move inside [park_backoff_min_us,
-    // park_backoff_max_us]. The default 1µs -> 200µs band reproduces the
-    // previously hardcoded constants exactly.
+    // park_backoff_max_us].
     auto park = std::chrono::microseconds(
         static_cast<std::int64_t>(park_min_us_) << shift);
     const auto ceiling = std::chrono::microseconds(
         park_ceiling_us_.load(std::memory_order_relaxed));
     if (park > ceiling) park = ceiling;
     rt_.transport().enter_idle(place_);
-    if (done() || step()) {
+    if (done()) {
       rt_.transport().exit_idle(place_);
-      idle_rounds = 0;
-      if (done()) return;
-      continue;
+      return;
     }
-    rt_.transport().wait_nonempty(place_, park);
+    busy = step();
+    if (!busy) {
+      parks_.fetch_add(1, std::memory_order_relaxed);
+      rt_.transport().wait_nonempty(place_, park);
+    }
     rt_.transport().exit_idle(place_);
   }
-}
-
-void Scheduler::add_idle_hook(std::function<void()> hook) {
-  std::scoped_lock lock(hooks_mu_);
-  const auto* cur = hooks_.load(std::memory_order_relaxed);
-  auto next = std::make_unique<std::vector<std::function<void()>>>(
-      cur != nullptr ? *cur : std::vector<std::function<void()>>{});
-  next->push_back(std::move(hook));
-  const auto* raw = next.get();
-  hook_snapshots_.emplace_back(std::move(next));
-  hooks_.store(raw, std::memory_order_release);
 }
 
 void Scheduler::set_park_ceiling_us(std::uint64_t us) {

@@ -66,7 +66,9 @@ class Scheduler {
 
   /// Pumps until `done()` holds; spins then parks on the transport inbox
   /// with exponential backoff when idle. Re-entrant: blocked activities call
-  /// this recursively and keep helping (and stealing).
+  /// this recursively and keep helping (and stealing). `done` is evaluated
+  /// once per round; it may consume state (Team::recv_bytes takes the mail
+  /// it finds), so it is never called again after it returns `true`.
   void run_until(const std::function<bool()>& done);
 
   /// Runs `act` to completion on the calling thread with correct
@@ -82,12 +84,6 @@ class Scheduler {
   /// in its private poll batch (chaos stragglers past the root finish) so no
   /// delivered message is ever lost to teardown.
   void unbind_worker();
-
-  /// Registers a hook invoked when the place transitions to idle (e.g. the
-  /// partial-envelope flush of the coalescing layer). Hooks are append-only and must be
-  /// registered before the first worker runs; the hot path reads the list
-  /// through one atomic pointer load, no lock.
-  void add_idle_hook(std::function<void()> hook);
 
   [[nodiscard]] int place() const { return place_; }
   [[nodiscard]] int workers() const { return static_cast<int>(workers_.size()); }
@@ -106,6 +102,11 @@ class Scheduler {
   /// Busy->idle transitions (how often this place ran dry).
   [[nodiscard]] std::uint64_t idle_transitions() const {
     return idle_transitions_.load(std::memory_order_relaxed);
+  }
+  /// Park waits on the transport inbox (how long this place stayed dry: one
+  /// per timed wait, so a quiet place keeps counting after its transition).
+  [[nodiscard]] std::uint64_t parks() const {
+    return parks_.load(std::memory_order_relaxed);
   }
   /// Successful intra-place steals between sibling workers.
   [[nodiscard]] std::uint64_t steals() const {
@@ -148,7 +149,6 @@ class Scheduler {
   bool pop_local(Activity& out, Worker* w);
   bool try_steal(Activity& out, Worker* thief);
   void consume_message(x10rt::Message& m);
-  void run_idle_hooks();
 
   Runtime& rt_;
   int place_;
@@ -168,17 +168,11 @@ class Scheduler {
   std::deque<Activity> overflow_;
   std::atomic<std::size_t> overflow_size_{0};
 
-  // Idle hooks: registration is rare and locked; readers follow one acquire
-  // pointer load. Superseded snapshots are retained until destruction.
-  std::mutex hooks_mu_;
-  std::atomic<const std::vector<std::function<void()>>*> hooks_{nullptr};
-  std::vector<std::unique_ptr<const std::vector<std::function<void()>>>>
-      hook_snapshots_;
-
   // Registry-owned counters, resolved once at construction.
   MetricsRegistry::Counter& activities_executed_;
   MetricsRegistry::Counter& messages_processed_;
   MetricsRegistry::Counter& idle_transitions_;
+  MetricsRegistry::Counter& parks_;
   MetricsRegistry::Counter& steals_;
   MetricsRegistry::Counter& overflow_drained_;
   // Messages processed by class, shared across places ("sched.msgs.CLASS").

@@ -584,116 +584,83 @@ std::vector<Transport::RetxDiag> Transport::retx_unacked(int src) const {
   return out;
 }
 
-std::optional<Message> Transport::poll(int place) {
-  auto& box = *inboxes_[static_cast<std::size_t>(place)];
-  if (!reliability_enabled()) {
-    std::scoped_lock lock(box.mu);
-    if (box.queue.empty() && !box.delayed.empty()) {
-      // Chaos must not withhold the last messages forever: drain one now.
-      std::uniform_int_distribution<std::size_t> pick(0,
-                                                      box.delayed.size() - 1);
-      const std::size_t j = pick(box.rng);
-      box.queue.push_back(std::move(box.delayed[j]));
-      box.delayed.erase(box.delayed.begin() + static_cast<std::ptrdiff_t>(j));
-    }
-    if (box.queue.empty()) return std::nullopt;
-    Message m = std::move(box.queue.front());
+template <class Out>
+std::size_t Transport::take_batch(Inbox& box, Out& out, std::size_t max) {
+  std::scoped_lock lock(box.mu);
+  // Chaos must not withhold the last messages forever: once the queue has
+  // run dry, one parked message is released from a random position. The
+  // release comes before the batch is taken, so batching only amortizes the
+  // lock and never changes chaos reorder coverage.
+  if (box.queue.empty() && !box.delayed.empty()) {
+    std::uniform_int_distribution<std::size_t> pick(0, box.delayed.size() - 1);
+    const std::size_t j = pick(box.rng);
+    box.queue.push_back(std::move(box.delayed[j]));
+    box.delayed.erase(box.delayed.begin() + static_cast<std::ptrdiff_t>(j));
+  }
+  std::size_t n = 0;
+  while (n < max && !box.queue.empty()) {
+    out.push_back(std::move(box.queue.front()));
     box.queue.pop_front();
-    return m;
+    ++n;
   }
-  // Reliability path. Admission (ack processing / dedup / ack-only
-  // consumption) runs *outside* the inbox lock: it takes the retx/recv shard
-  // locks, and a self-send from retx_pump otherwise forms an inbox <-> shard
-  // ordering cycle. The time-gated pump is also lock-free to enter.
-  retx_maybe_pump(place);
-  for (;;) {
-    std::optional<Message> m;
-    {
-      std::scoped_lock lock(box.mu);
-      if (box.queue.empty() && !box.delayed.empty()) {
-        std::uniform_int_distribution<std::size_t> pick(
-            0, box.delayed.size() - 1);
-        const std::size_t j = pick(box.rng);
-        box.queue.push_back(std::move(box.delayed[j]));
-        box.delayed.erase(box.delayed.begin() +
-                          static_cast<std::ptrdiff_t>(j));
-      }
-      if (!box.queue.empty()) {
-        m = std::move(box.queue.front());
-        box.queue.pop_front();
-      }
-    }
-    if (!m) return std::nullopt;
-    if (retx_admit(place, *m)) return m;
-    // Duplicate or standalone ack: consumed here, try the next message.
-  }
+  return n;
 }
 
-std::size_t Transport::poll_batch(int place, std::deque<Message>& out,
-                                  std::size_t max) {
+template <class Out>
+std::size_t Transport::admit_batch(int place, Out& out, std::size_t max) {
   auto& box = *inboxes_[static_cast<std::size_t>(place)];
-  // Adaptive-tuning tick point on the poll hot path, decimated 1-in-64 so a
-  // tight poll loop pays a load+store, not a clock read, per call. The
-  // controller time-gates the actual tick; one branch when no controller.
-  if (cfg_.tick_hook) {
-    const std::uint64_t n = box.tick_polls.load(std::memory_order_relaxed);
-    box.tick_polls.store(n + 1, std::memory_order_relaxed);
-    if ((n & 63) == 0) cfg_.tick_hook(place);
-  }
-  if (!reliability_enabled()) {
-    std::scoped_lock lock(box.mu);
-    if (box.queue.empty() && !box.delayed.empty()) {
-      // Chaos must not withhold the last messages forever: drain one now.
-      // (Release check before the batch is taken — identical to poll().)
-      std::uniform_int_distribution<std::size_t> pick(0,
-                                                      box.delayed.size() - 1);
-      const std::size_t j = pick(box.rng);
-      box.queue.push_back(std::move(box.delayed[j]));
-      box.delayed.erase(box.delayed.begin() + static_cast<std::ptrdiff_t>(j));
-    }
-    std::size_t n = 0;
-    while (n < max && !box.queue.empty()) {
-      out.push_back(std::move(box.queue.front()));
-      box.queue.pop_front();
-      ++n;
-    }
-    return n;
-  }
-  // Reliability path: take a raw batch under the lock, filter through
-  // admission outside it (same lock-ordering argument as poll()). Callers
-  // treat a zero return as "inbox empty", so a batch that admits nothing —
-  // a retransmit storm of duplicates, or standalone acks — must not end
-  // the call while raw messages remain queued: keep taking batches until
-  // something is admitted or the queue is actually drained.
+  if (!reliability_enabled()) return take_batch(box, out, max);
+  // Reliability: take raw batches under the lock and filter them through
+  // admission (ack processing / dedup / ack-only consumption) outside it —
+  // admission takes the retx/recv shard locks, and a self-send from
+  // retx_pump would otherwise form an inbox <-> shard ordering cycle. The
+  // time-gated pump is lock-free to enter. Callers treat a zero return as
+  // "inbox empty", so a batch that admits nothing (a retransmit storm of
+  // duplicates, or standalone acks) must not end the call while raw
+  // messages remain queued.
   retx_maybe_pump(place);
-  std::size_t n = 0;
+  // Per-thread scratch: a default-constructed std::deque allocates, and
+  // admission (ack hooks included) never re-enters the poll path.
+  thread_local std::deque<Message> raw;
   for (;;) {
-    std::deque<Message> raw;
-    {
-      std::scoped_lock lock(box.mu);
-      if (box.queue.empty() && !box.delayed.empty()) {
-        std::uniform_int_distribution<std::size_t> pick(0,
-                                                        box.delayed.size() - 1);
-        const std::size_t j = pick(box.rng);
-        box.queue.push_back(std::move(box.delayed[j]));
-        box.delayed.erase(box.delayed.begin() + static_cast<std::ptrdiff_t>(j));
-      }
-      std::size_t taken = 0;
-      while (taken < max && !box.queue.empty()) {
-        raw.push_back(std::move(box.queue.front()));
-        box.queue.pop_front();
-        ++taken;
-      }
-    }
-    if (raw.empty()) return n;
+    raw.clear();
+    if (take_batch(box, raw, max) == 0) return 0;
+    std::size_t n = 0;
     for (auto& m : raw) {
       if (retx_admit(place, m)) {
         out.push_back(std::move(m));
         ++n;
       }
     }
-    if (n > 0) return n;
+    if (n > 0) {
+      raw.clear();
+      return n;
+    }
   }
+}
+
+std::optional<Message> Transport::poll(int place) {
+  // A one-message sink: the unbatched path allocates nothing.
+  struct Slot {
+    Message m;
+    void push_back(Message&& x) { m = std::move(x); }
+  } slot;
+  if (admit_batch(place, slot, 1) == 0) return std::nullopt;
+  return std::move(slot.m);
+}
+
+std::size_t Transport::poll_batch(int place, std::deque<Message>& out,
+                                  std::size_t max) {
+  // Adaptive-tuning tick point on the poll hot path, decimated 1-in-64 so a
+  // tight poll loop pays a load+store, not a clock read, per call. The
+  // controller time-gates the actual tick; one branch when no controller.
+  if (cfg_.tick_hook) {
+    auto& box = *inboxes_[static_cast<std::size_t>(place)];
+    const std::uint64_t n = box.tick_polls.load(std::memory_order_relaxed);
+    box.tick_polls.store(n + 1, std::memory_order_relaxed);
+    if ((n & 63) == 0) cfg_.tick_hook(place);
+  }
+  return admit_batch(place, out, max);
 }
 
 bool Transport::wait_nonempty(int place, std::chrono::microseconds timeout) {

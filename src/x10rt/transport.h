@@ -44,19 +44,12 @@
 
 namespace x10rt {
 
-/// Feature gate for callers (benches) whose sources must also compile
-/// against the pre-batching transport.
-#define APGAS_HAVE_POLL_BATCH 1
-
-/// Feature gate for the sender-side coalescing layer (ISSUE 3).
-#define APGAS_HAVE_COALESCE 1
-
 /// Why a coalescing envelope left the sender (the flush-reason histogram in
 /// transport.coalesce.flush.*).
 enum class FlushReason : std::uint8_t {
   kSize,       // envelope reached coalesce_bytes
   kCount,      // envelope reached coalesce_msgs records
-  kIdle,       // scheduler idle hook flushed the place's partial envelopes
+  kIdle,       // the place's scheduler went idle and flushed its envelopes
   kQuiesce,    // explicit quiescence/teardown flush
   kImmediate,  // an immediate frame was appended: rendezvous traffic (Team
                // mail, GLB steals) must ship before the sender can block on
@@ -74,13 +67,6 @@ inline const char* flush_reason_name(FlushReason r) {
   }
   return "?";
 }
-
-/// Feature gate for the reliability sublayer (ISSUE 5).
-#define APGAS_HAVE_RELIABILITY 1
-
-/// Feature gate for the adaptive-tuning mechanism (dynamic per-pair flush
-/// thresholds + adaptive retransmit timers; ISSUE 8).
-#define APGAS_HAVE_ADAPTIVE_TUNING 1
 
 /// Chaos injection: with probability `delay_prob` a message is parked in a
 /// side pool and released later in randomized order (delivery remains
@@ -244,7 +230,7 @@ class Transport {
   /// real place (src >= 0) are *parked* in the per-(src,dst) envelope and
   /// only hit the destination inbox when the envelope flushes — by size,
   /// record count, or an explicit flush_coalesced() (the scheduler's idle
-  /// hook / quiescence points). Per-class count/byte statistics always tally
+  /// call / quiescence points). Per-class count/byte statistics always tally
   /// the *logical* message here, so control-volume metrics stay comparable
   /// whether or not the wire batches them.
   void send_am(int src, int dst, int handler, ByteBuffer payload,
@@ -252,7 +238,7 @@ class Transport {
 
   /// Ships every pending envelope whose source place is `src`. Returns the
   /// number of envelopes sent. Cheap no-op when coalescing is off. Callers:
-  /// the per-place scheduler idle hook (reason kIdle) and teardown
+  /// every empty scheduler round at the place (reason kIdle) and teardown
   /// quiescence (reason kQuiesce).
   std::size_t flush_coalesced(int src, FlushReason reason = FlushReason::kIdle);
 
@@ -266,14 +252,19 @@ class Transport {
 
   [[nodiscard]] const BufferPool& pool() const { return pool_; }
 
-  /// Non-blocking pop of the next deliverable message for `place`.
+  /// Non-blocking pop of the next deliverable message for `place`: the
+  /// one-message form of the poll_batch admission path, without its
+  /// autotune tick (callers outside the scheduler's hot loop: tests,
+  /// external drain threads).
   std::optional<Message> poll(int place);
 
   /// Drains up to `max` deliverable messages for `place` into `out` under a
-  /// single lock acquisition; returns the number appended. The chaos release
-  /// check (delayed pool feeds the queue once it runs dry) happens *before*
-  /// the batch is taken, exactly as in poll(), so reorder coverage under
-  /// chaos is unchanged — batching only amortizes the lock.
+  /// single lock acquisition per raw batch; returns the number appended
+  /// (0 = inbox empty). The chaos release check (the delayed pool feeds the
+  /// queue once it runs dry) happens *before* the batch is taken, so
+  /// reorder coverage under chaos does not depend on `max` — batching only
+  /// amortizes the lock. With reliability on, every poll first runs the
+  /// time-gated retx pump.
   std::size_t poll_batch(int place, std::deque<Message>& out, std::size_t max);
 
   /// Blocks until the inbox for `place` is (probably) non-empty, it is woken
@@ -421,8 +412,8 @@ class Transport {
   /// immediately and every owed ack ships regardless of age — the teardown
   /// quiescence driver uses this to reach the all-acked fixpoint. Returns
   /// the number of wire messages produced (0 = nothing to do). Cheap no-op
-  /// when the layer is off. Poll paths call this on a time gate; the
-  /// scheduler idle hook and teardown call it directly.
+  /// when the layer is off. Poll paths call this on a time gate; teardown
+  /// calls it directly.
   std::size_t retx_pump(int place, bool force = false);
 
   /// True when every sequenced message ever sent has been cumulatively
@@ -631,6 +622,16 @@ class Transport {
   /// copy (dup injection happens in enqueue_locked before this).
   void enqueue_copy_locked(Inbox& box, Message&& m);
   void maybe_release_delayed_locked(Inbox& box);
+  /// Moves up to `max` queued messages into `out` (anything with
+  /// push_back(Message&&): the caller's deque, or poll()'s single slot)
+  /// under one inbox lock, first releasing one chaos-delayed message if the
+  /// queue has run dry.
+  template <class Out>
+  std::size_t take_batch(Inbox& box, Out& out, std::size_t max);
+  /// The single admission loop behind poll() and poll_batch(): raw batches
+  /// filtered through reliability admission when the layer is on.
+  template <class Out>
+  std::size_t admit_batch(int place, Out& out, std::size_t max);
   void record(const Message& m, int dst);
   /// The per-class / per-pair statistics bump shared by the direct path
   /// (via record()) and the coalesced path (per logical record, at send_am

@@ -9,7 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <thread>
 #include <vector>
 
 #include "runtime/api.h"
@@ -436,6 +440,54 @@ TEST(AutotuneRuntime, ArmedRunCompletesAndExportsGauges) {
   // Retx acks flow constantly under finish traffic; the estimators must have
   // been fed.
   EXPECT_GT(m.at("autotune.rtt_samples"), 0u);
+}
+
+// The park leg end to end: a steal-heavy phase pulls place 1's park ceiling
+// down, and a quiet interval afterwards must grow it back to the maximum.
+// The quiet place transitions to idle once and then only parks, so the
+// controller has to read park waits, not busy->idle transitions, as idle.
+TEST(AutotuneRuntime, ParkCeilingClimbsBackToMaxWhenQuiet) {
+  Config cfg;
+  cfg.places = 2;
+  cfg.workers_per_place = 4;
+  cfg.autotune = 1;
+  Runtime::run(cfg, [] {
+    Autotune* at = Runtime::get().autotune();
+    ASSERT_NE(at, nullptr);
+    const std::uint64_t max_us = at->knobs().park_max_us;
+    ASSERT_EQ(at->park_ceiling_us(1), max_us);
+    // Steal-heavy phase: one activity at place 1 spawns a flood of short
+    // activities that its three siblings steal one at a time. Repeated (up
+    // to a bound) until the controller has halved the ceiling twice.
+    std::atomic<std::uint64_t> lowest{max_us};
+    for (int round = 0; round < 50 && lowest.load() > max_us / 4; ++round) {
+      finish([&] {
+        asyncAt(1, [&] {
+          for (int i = 0; i < 20000; ++i) {
+            async([&] {
+              volatile int sink = 0;
+              for (int k = 0; k < 200; ++k) sink = sink + k;
+              const std::uint64_t c = at->park_ceiling_us(1);
+              std::uint64_t seen = lowest.load(std::memory_order_relaxed);
+              while (c < seen && !lowest.compare_exchange_weak(seen, c)) {
+              }
+            });
+          }
+        });
+      });
+    }
+    ASSERT_LE(lowest.load(), max_us / 4)
+        << "the steal phase never pulled the park ceiling down";
+    // Quiet interval: place 1 has nothing to do. Its parked workers keep
+    // polling, and each poll-path tick must read an idle-dominated window.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (at->park_ceiling_us(1) < max_us &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_EQ(at->park_ceiling_us(1), max_us);
+  });
 }
 
 TEST(AutotuneRuntime, DisabledRunExportsNoAutotuneMetrics) {

@@ -230,4 +230,59 @@ TEST(SchedulerStats, CountsActivitiesAndMessages) {
   });
 }
 
+TEST(SchedulerStats, IdleTransitionsCountTransitionsNotParks) {
+  // Place 0 waits ~50 ms on one remote task: one busy->idle transition (a
+  // few with the completion traffic), however many park timeouts the wait
+  // spans — at the 200 us park ceiling that is ~250 of them.
+  Runtime::run(cfg_n(2), [] {
+    auto& rt = Runtime::get();
+    const auto before = rt.metrics().value("sched.p0.idle_transitions");
+    finish([] {
+      asyncAt(1, [] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      });
+    });
+    const auto during =
+        rt.metrics().value("sched.p0.idle_transitions") - before;
+    EXPECT_GE(during, 1u);
+    EXPECT_LE(during, 5u);
+  });
+}
+
+TEST(SchedulerLoop, DoneIsNeverCalledAgainAfterReturningTrue) {
+  // Regression: the park re-check once evaluated `done()` twice, so a
+  // predicate that consumes what it finds (Team::recv_bytes takes its mail)
+  // saw `true`, lost the state, then read `false` and spun forever. This
+  // predicate fires only while the worker is inside the enter_idle bracket
+  // — the park re-check — and consumes its one token when it does.
+  Config cfg = cfg_n(1);
+  cfg.workers_per_place = 1;
+  Runtime::run(cfg, [] {
+    auto& rt = Runtime::get();
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    int tokens = 1;
+    int calls_after_true = 0;
+    bool timed_out = false;
+    rt.sched(0).run_until([&] {
+      if (tokens == 0) {
+        // Bounded escape: a loop that keeps asking must still end.
+        return ++calls_after_true >= 3;
+      }
+      if (rt.transport().sleepers(0) > 0) {
+        --tokens;
+        return true;
+      }
+      if (std::chrono::steady_clock::now() > deadline) {
+        timed_out = true;
+        return true;
+      }
+      return false;
+    });
+    EXPECT_FALSE(timed_out) << "the worker never parked";
+    EXPECT_EQ(tokens, 0);
+    EXPECT_EQ(calls_after_true, 0);
+  });
+}
+
 }  // namespace

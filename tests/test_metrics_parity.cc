@@ -46,7 +46,7 @@ TEST(MetricsParity, RegistryMatchesSchedulerGetters) {
     // an activity at that place: with one worker per place, the only thread
     // that moves them is busy running the reader.
     Runtime& rt = Runtime::get();
-    std::vector<std::array<std::uint64_t, 6>> reads(kPlaces);
+    std::vector<std::array<std::uint64_t, 8>> reads(kPlaces);
     finish([&] {
       for (int p = 0; p < num_places(); ++p) {
         asyncAt(p, [&rt, &reads, p] {
@@ -56,7 +56,9 @@ TEST(MetricsParity, RegistryMatchesSchedulerGetters) {
                       rt.metrics().value(prefix + "messages_processed"),
                       rt.sched(p).messages_processed(),
                       rt.metrics().value(prefix + "idle_transitions"),
-                      rt.sched(p).idle_transitions()};
+                      rt.sched(p).idle_transitions(),
+                      rt.metrics().value(prefix + "parks"),
+                      rt.sched(p).parks()};
         });
       }
     });
@@ -64,6 +66,7 @@ TEST(MetricsParity, RegistryMatchesSchedulerGetters) {
       EXPECT_EQ(reads[p][0], reads[p][1]) << "place " << p;
       EXPECT_EQ(reads[p][2], reads[p][3]) << "place " << p;
       EXPECT_EQ(reads[p][4], reads[p][5]) << "place " << p;
+      EXPECT_EQ(reads[p][6], reads[p][7]) << "place " << p;
     }
   });
 }

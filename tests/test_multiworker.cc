@@ -15,6 +15,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <thread>
 #include <vector>
 
 namespace {
@@ -426,6 +428,35 @@ TEST_P(WorkerCounts, BlockingAtFromSiblingWorkers) {
     });
   });
   EXPECT_EQ(sum.load(), 15 * 1 + 15 * 2);
+}
+
+std::atomic<bool> g_spin_flag{false};
+void set_spin_flag(int) { g_spin_flag.store(true); }
+const RemoteFn<int> kSetSpinFlag{&set_spin_flag};
+
+// A coalesced send from an activity that keeps running (it spins instead of
+// blocking, so it never reaches its own busy->idle transition) leaves only
+// when an idle sibling worker flushes the place's partial envelopes. The
+// spin is bounded: on failure the finish wait flushes and the test ends.
+TEST(IdleSiblingFlush, SpinningSenderCoalescedSendArrives) {
+  Config cfg = cfg_w(2, 2);
+  cfg.coalesce_bytes = 4096;
+  bool arrived = false;
+  Runtime::run(cfg, [&] {
+    finish([&] {
+      // Let the sibling worker settle into its park rounds, past its own
+      // busy->idle transition, so only a park-round flush can ship the send.
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      asyncAtArgs(1, kSetSpinFlag, 0);
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(5);
+      while (!g_spin_flag.load() &&
+             std::chrono::steady_clock::now() < deadline) {
+      }
+      arrived = g_spin_flag.load();
+    });
+  });
+  EXPECT_TRUE(arrived);
 }
 
 }  // namespace
