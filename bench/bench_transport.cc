@@ -70,7 +70,7 @@ void run_flood(bool coalesce, int n, FloodResult& r) {
   std::deque<x10rt::Message> batch;
   const double t0 = now_secs();
   for (int i = 0; i < n; ++i) {
-    x10rt::ByteBuffer b = tr.acquire_buffer();
+    x10rt::ByteBuffer b = tr.acquire_buffer(0);
     b.put(static_cast<std::uint64_t>(i));
     tr.send_am(0, 1, 0, std::move(b));
   }
@@ -101,7 +101,7 @@ void run_echo(bool coalesce, int pairs, FloodResult& r) {
   long received = 0;
   const int kReply = 1;
   tr.register_am([&tr, kReply](x10rt::ByteBuffer& buf) {
-    x10rt::ByteBuffer b = tr.acquire_buffer();
+    x10rt::ByteBuffer b = tr.acquire_buffer(1);
     b.put(buf.get<std::uint64_t>());
     tr.send_am(1, 0, kReply, std::move(b));
   });
@@ -118,7 +118,7 @@ void run_echo(bool coalesce, int pairs, FloodResult& r) {
   const double t0 = now_secs();
   for (int i = 0; i < pairs; i += 32) {
     for (int j = 0; j < 32 && i + j < pairs; ++j) {
-      x10rt::ByteBuffer b = tr.acquire_buffer();
+      x10rt::ByteBuffer b = tr.acquire_buffer(0);
       b.put(static_cast<std::uint64_t>(i + j));
       tr.send_am(0, 1, 0, std::move(b));
     }
@@ -171,7 +171,7 @@ void run_retx_flood(bool lossy, int n, FloodResult& r) {
   };
   const double t0 = now_secs();
   for (int i = 0; i < n; ++i) {
-    x10rt::ByteBuffer b = tr.acquire_buffer();
+    x10rt::ByteBuffer b = tr.acquire_buffer(0);
     b.put(static_cast<std::uint64_t>(i));
     tr.send_am(0, 1, 0, std::move(b));
     if ((i + 1) % 2048 == 0) {
@@ -261,7 +261,7 @@ struct TuneHarness {
     am_flood =
         tr->register_am([this](x10rt::ByteBuffer&) { ++flood_received; });
     am_ping = tr->register_am([this](x10rt::ByteBuffer& buf) {
-      x10rt::ByteBuffer b = tr->acquire_buffer();
+      x10rt::ByteBuffer b = tr->acquire_buffer(1);
       b.put(buf.get<std::uint64_t>());
       tr->send_am(1, 0, am_pong, std::move(b));
     });
@@ -285,7 +285,7 @@ struct TuneHarness {
 
   void flood_segment(int n, std::deque<x10rt::Message>& batch) {
     for (int i = 0; i < n; ++i) {
-      x10rt::ByteBuffer b = tr->acquire_buffer();
+      x10rt::ByteBuffer b = tr->acquire_buffer(0);
       b.put(static_cast<std::uint64_t>(i));
       tr->send_am(0, 1, am_flood, std::move(b));
       if ((i + 1) % 256 == 0) sender_tick(0);
@@ -300,7 +300,7 @@ struct TuneHarness {
   /// whether the record actually parked.
   void pingpong_segment(int n, std::deque<x10rt::Message>& batch) {
     for (int i = 0; i < n; ++i) {
-      x10rt::ByteBuffer b = tr->acquire_buffer();
+      x10rt::ByteBuffer b = tr->acquire_buffer(0);
       b.put(static_cast<std::uint64_t>(i));
       tr->send_am(0, 1, am_ping, std::move(b));
       tr->flush_coalesced(0, x10rt::FlushReason::kIdle);

@@ -3,8 +3,9 @@
 namespace kernels {
 
 std::uint64_t hpcc_starts(std::int64_t n) {
-  while (n < 0) n += kHpccPeriod;
-  while (n > kHpccPeriod) n -= kHpccPeriod;
+  constexpr auto kPeriod = static_cast<std::int64_t>(kHpccPeriod);
+  while (n < 0) n += kPeriod;
+  while (n > kPeriod) n -= kPeriod;
   if (n == 0) return 1;
 
   std::uint64_t m2[64];

@@ -160,6 +160,21 @@ inline RemoteSpawn prepare_remote_spawn(Runtime& rt, int p) {
   return rs;
 }
 
+/// The remote half of every frame spawn (p != here()): `encode` writes the
+/// task's args straight into the pooled spawn frame after its header, so a
+/// spawn is encoded exactly once into one buffer. The args are encoded
+/// before prepare_remote_spawn touches the finish books, so an encoder that
+/// throws leaves them as they were.
+template <typename Encode>
+void ship_frame_spawn(int p, int fn_id, Encode&& encode) {
+  Runtime& rt = Runtime::get();
+  x10rt::ByteBuffer frame = rt.open_task_frame();
+  encode(frame);
+  const RemoteSpawn rs = prepare_remote_spawn(rt, p);
+  rt.send_task_frame(p, fn_id, std::move(frame), rs.wire, rs.credit, rs.span,
+                     rs.parent_span);
+}
+
 }  // namespace detail
 
 /// `at(p) async S`: active message — spawns an activity at place p under the
@@ -184,10 +199,9 @@ inline void asyncAt(int p, std::function<void()> f) {
 /// In-process it ships the same wire frame through the same handler, so code
 /// written against frames behaves identically on both backends.
 inline void asyncAtFrame(int p, int fn_id, x10rt::ByteBuffer args = {}) {
-  Runtime& rt = Runtime::get();
   if (p == here()) {
     // The argument convention is "the task sees the unread suffix
-    // [position(), size())" — identical to what send_task_frame ships — so
+    // [position(), size())" — identical to what the remote path ships — so
     // a caller that pre-read a prefix gets the same bytes locally as over
     // the wire.
     const TaskFn& fn = task_fn(fn_id);  // aborts on a bad id, like the wire
@@ -203,9 +217,11 @@ inline void asyncAtFrame(int p, int fn_id, x10rt::ByteBuffer args = {}) {
     });
     return;
   }
-  detail::RemoteSpawn rs = detail::prepare_remote_spawn(rt, p);
-  rt.send_task_frame(p, fn_id, std::move(args), rs.wire, rs.credit, rs.span,
-                     rs.parent_span);
+  detail::ship_frame_spawn(p, fn_id, [&args](x10rt::ByteBuffer& frame) {
+    if (args.remaining() != 0) {
+      frame.put_raw(args.bytes().data() + args.position(), args.remaining());
+    }
+  });
 }
 
 /// Blocking `at(p) e`: shifts to place p, evaluates f, and returns the
@@ -280,7 +296,12 @@ inline void immediate_at(int p, std::function<void()> fn,
 /// transport, even to self, so both backends count it identically.
 inline void immediateAtFrame(int p, int fn_id, x10rt::ByteBuffer args = {},
                              x10rt::MsgType type = x10rt::MsgType::kOther) {
-  Runtime::get().send_immediate_frame(p, fn_id, std::move(args), type);
+  x10rt::ByteBuffer frame =
+      Runtime::open_immediate_frame(fn_id, args.remaining());
+  if (args.remaining() != 0) {
+    frame.put_raw(args.bytes().data() + args.position(), args.remaining());
+  }
+  Runtime::get().send_immediate_frame(p, std::move(frame), type);
 }
 
 // --- typed remote tasks (ISSUE 10) ------------------------------------------
@@ -294,14 +315,32 @@ inline void immediateAtFrame(int p, int fn_id, x10rt::ByteBuffer args = {},
 // scope (pre-main, hence pre-fork) so every place process assigns the same
 // ids — the same rule as register_task_fn.
 
+namespace detail {
+
+/// Spawns frame task `fn_id` at p with the args `encode` writes: into the
+/// spawn frame itself when p is remote, into the local task's buffer when
+/// p is here.
+template <typename Encode>
+void spawn_encoded(int p, int fn_id, Encode&& encode) {
+  if (p == here()) {
+    x10rt::ByteBuffer b;
+    encode(b);
+    asyncAtFrame(p, fn_id, std::move(b));
+    return;
+  }
+  ship_frame_spawn(p, fn_id, std::forward<Encode>(encode));
+}
+
+}  // namespace detail
+
 /// Packs `args` through Ser and spawns the registered frame task `fn_id` at
 /// place p under the innermost finish. The handler is expected to unpack the
 /// same types in the same order (use RemoteFn to get that by construction).
 template <typename... Ts>
 void asyncAtArgs(int p, int fn_id, const Ts&... args) {
-  x10rt::ByteBuffer b;
-  x10rt::ser_put(b, args...);
-  asyncAtFrame(p, fn_id, std::move(b));
+  detail::spawn_encoded(p, fn_id, [&](x10rt::ByteBuffer& b) {
+    x10rt::ser_put(b, args...);
+  });
 }
 
 /// A void remote function with typed arguments. Wraps `void fn(Args...)` in
@@ -329,9 +368,9 @@ template <typename... Args, typename... Actuals>
 void asyncAtArgs(int p, const RemoteFn<Args...>& fn, const Actuals&... args) {
   static_assert(sizeof...(Args) == sizeof...(Actuals),
                 "asyncAtArgs: argument count must match the RemoteFn");
-  x10rt::ByteBuffer b;
-  (x10rt::Ser<std::decay_t<Args>>::put(b, args), ...);
-  asyncAtFrame(p, fn.id(), std::move(b));
+  detail::spawn_encoded(p, fn.id(), [&](x10rt::ByteBuffer& b) {
+    (x10rt::Ser<std::decay_t<Args>>::put(b, args), ...);
+  });
 }
 
 namespace detail {
@@ -417,11 +456,14 @@ R atArgs(int p, const RemoteGet<R, Args...>& fn, const Actuals&... args) {
   static_assert(sizeof...(Args) == sizeof...(Actuals),
                 "atArgs: argument count must match the RemoteGet");
   detail::GetState<R> st;
-  x10rt::ByteBuffer req;
-  req.put(static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(&st)));
-  req.put<std::int32_t>(here());
-  (x10rt::Ser<std::decay_t<Args>>::put(req, args), ...);
-  finish(Pragma::kHere, [&] { asyncAtFrame(p, fn.id(), std::move(req)); });
+  const std::int32_t home = here();
+  finish(Pragma::kHere, [&] {
+    detail::spawn_encoded(p, fn.id(), [&](x10rt::ByteBuffer& req) {
+      req.put(static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(&st)));
+      req.put(home);
+      (x10rt::Ser<std::decay_t<Args>>::put(req, args), ...);
+    });
+  });
   if (st.ex) std::rethrow_exception(st.ex);
   return std::move(*st.value);
 }

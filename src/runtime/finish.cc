@@ -265,7 +265,7 @@ void FinishHome::wait() {
         continue;
       // Block release is bookkeeping, not termination detection: classify
       // it as kOther so control-traffic metrics measure the protocol itself.
-      x10rt::ByteBuffer frame = rt_.transport().acquire_buffer();
+      x10rt::ByteBuffer frame = rt_.transport().acquire_buffer(key_.home);
       frame.put(key_.home);
       frame.put(key_.seq);
       send_ctrl_am(rt_, key_.home, q, rt_.am_release(), std::move(frame),
@@ -377,7 +377,7 @@ void send_snapshot_home(Runtime& rt, const Snapshot& snap, Pragma mode) {
   // Counted at the origin, whether it travels directly or via dense relays;
   // the home side counts applied + stale, so the two must balance.
   rt.fin_counters().snapshots_sent->fetch_add(1, std::memory_order_relaxed);
-  x10rt::ByteBuffer buf = rt.transport().acquire_buffer();
+  x10rt::ByteBuffer buf = rt.transport().acquire_buffer(here());
   encode_snapshot(buf, snap);
   const FinishKey key = snap.key;
   if (mode == Pragma::kDense && rt.config().places_per_node > 1) {
@@ -499,7 +499,7 @@ void fin_activity_completed(Runtime& rt, const Activity& act) {
       break;
     case Pragma::kAsync:
     case Pragma::kSpmd: {
-      x10rt::ByteBuffer frame = rt.transport().acquire_buffer();
+      x10rt::ByteBuffer frame = rt.transport().acquire_buffer(here());
       frame.put(ctx.key.seq);
       frame.put<std::uint64_t>(1);
       send_ctrl_am(rt, here(), ctx.key.home, rt.am_completions(),
@@ -511,7 +511,7 @@ void fin_activity_completed(Runtime& rt, const Activity& act) {
       // Return the remaining weight (what the children did not take). The
       // message is a pure decrement of the home's outstanding weight, so no
       // reordering of these can make the finish release early.
-      x10rt::ByteBuffer frame = rt.transport().acquire_buffer();
+      x10rt::ByteBuffer frame = rt.transport().acquire_buffer(here());
       frame.put(ctx.key.seq);
       frame.put(act.credit);
       send_ctrl_am(rt, here(), ctx.key.home, rt.am_credit(),
@@ -536,7 +536,7 @@ void fin_report_exception(Runtime& rt, const FinCtx& ctx,
     // (wire_encode_exception, runtime.h) classifies standard exceptions so
     // the home place rebuilds the matching std type; unknown types degrade
     // to std::runtime_error with the original what().
-    x10rt::ByteBuffer frame = rt.transport().acquire_buffer();
+    x10rt::ByteBuffer frame = rt.transport().acquire_buffer(here());
     frame.put<std::int32_t>(key.home);
     frame.put<std::uint64_t>(key.seq);
     wire_encode_exception(frame, ep);
@@ -598,7 +598,7 @@ void dense_relay_enqueue(Runtime& rt, int at_place, int final_home,
         r.flusher_scheduled = false;
       }
       for (auto& [next_hop, frames] : pending) {
-        x10rt::ByteBuffer batch = rtp->transport().acquire_buffer();
+        x10rt::ByteBuffer batch = rtp->transport().acquire_buffer(at_place);
         batch.put(static_cast<std::uint32_t>(frames.size()));
         for (const auto& [final_home2, frame2] : frames) {
           batch.put(final_home2);

@@ -84,22 +84,28 @@ void rt_am_spawn(Runtime& rt, x10rt::ByteBuffer& buf) {
   const auto t_send_ns = buf.get<std::uint64_t>();
   const auto fn_id = buf.get<std::int32_t>();
   const TaskFn& fn = task_fn(fn_id);  // aborts on an out-of-range wire id
-  std::vector<std::byte> args(buf.remaining());
-  if (!args.empty()) buf.get_raw(args.data(), args.size());
   if (t_send_ns != 0 && hist::enabled()) {
     rt.record_ship_latency(t_send_ns, src);
   }
+  // The task sees exactly its argument bytes from position 0 (the suffix
+  // contract asyncAtFrame's local path keeps too). They are slid to the
+  // front of the frame's own pooled storage rather than copied into fresh
+  // storage; the activity runs inline below, and the storage goes back into
+  // `buf` afterwards so the transport recycles it once this handler returns.
+  const std::size_t header = buf.position();
+  std::vector<std::byte> storage = buf.take_data();
+  storage.erase(storage.begin(),
+                storage.begin() + static_cast<std::ptrdiff_t>(header));
+  x10rt::ByteBuffer args{std::move(storage)};
   Activity act;
   act.fin = fin_task_received(rt, key, mode);
   act.credit = credit;
   act.remote_origin = true;
   act.span = span;
   act.parent_span = parent_span;
-  act.body = [fn, args = std::move(args)]() mutable {
-    x10rt::ByteBuffer b{std::move(args)};
-    fn(b);
-  };
+  act.body = [&fn, &args] { fn(args); };
   rt.sched(here()).run_activity(act);
+  buf = x10rt::ByteBuffer{args.take_data()};
 }
 
 /// am_exception frame: [home i32][seq u64][kind u8][what string] (the wire
@@ -428,14 +434,17 @@ void Runtime::register_transport_gauges() {
             x10rt::flush_reason_name(reason),
         [tr, reason] { return tr->coalesce_flushes(reason); });
   }
+  // Wire-buffer pool books, summed over the per-place shards.
   metrics_->add_gauge("transport.pool.hits",
-                      [tr] { return tr->pool().hits(); });
+                      [tr] { return tr->pool().totals().hits; });
   metrics_->add_gauge("transport.pool.misses",
-                      [tr] { return tr->pool().misses(); });
+                      [tr] { return tr->pool().totals().misses; });
   metrics_->add_gauge("transport.pool.recycled",
-                      [tr] { return tr->pool().recycled(); });
+                      [tr] { return tr->pool().totals().recycled; });
   metrics_->add_gauge("transport.pool.dropped",
-                      [tr] { return tr->pool().dropped(); });
+                      [tr] { return tr->pool().totals().dropped; });
+  metrics_->add_gauge("transport.pool.refills",
+                      [tr] { return tr->pool().totals().refill_in; });
 
   // Reliability sublayer + chaos injection (docs/transport.md "Reliability").
   metrics_->add_gauge("transport.retx.sent", [tr] { return tr->retx_sent(); });
@@ -692,7 +701,7 @@ int Runtime::run_child(const Config& cfg, std::function<void()> main,
       // process, then stop locally.
       for (int q = 1; q < rtp->places(); ++q) {
         rtp->transport().send_am(0, q, rtp->am_shutdown_,
-                                 rtp->transport().acquire_buffer(),
+                                 rtp->transport().acquire_buffer(0),
                                  x10rt::MsgType::kControl);
       }
       rtp->transport().flush_coalesced(0, x10rt::FlushReason::kQuiesce);
@@ -783,40 +792,54 @@ void Runtime::record_ship_latency(std::uint64_t t_send_ns, int src) {
   }
 }
 
-void Runtime::send_task_frame(int dst, int fn_id, x10rt::ByteBuffer args,
+x10rt::ByteBuffer Runtime::open_task_frame() {
+  x10rt::ByteBuffer frame = transport_->acquire_buffer(here());
+  static constexpr std::byte kZeros[kTaskFrameHeaderBytes] = {};
+  frame.put_raw(kZeros, sizeof kZeros);
+  return frame;
+}
+
+void Runtime::send_task_frame(int dst, int fn_id, x10rt::ByteBuffer frame,
                               const FinCtx& ctx, std::uint64_t credit,
                               std::uint64_t span, std::uint64_t parent_span) {
   finc_.tasks_shipped->fetch_add(1, std::memory_order_relaxed);
   trace::emit(trace::Ev::kMsgSend,
               static_cast<std::uint64_t>(x10rt::MsgType::kTask),
               static_cast<std::uint64_t>(dst));
-  x10rt::ByteBuffer frame = transport_->acquire_buffer();
-  frame.put<std::int32_t>(ctx.key.home);
-  frame.put<std::uint64_t>(ctx.key.seq);
-  frame.put<std::uint8_t>(static_cast<std::uint8_t>(ctx.mode));
-  frame.put<std::uint64_t>(credit);
-  frame.put<std::uint64_t>(span);
-  frame.put<std::uint64_t>(parent_span);
-  // Ship-time stamp + sending place travel inside the frame (not on the
-  // Message) so they survive coalescing into an envelope train; the source
-  // place lets the receiver pick the right clock offset for the aligned
-  // ship-latency sample.
-  frame.put<std::int32_t>(here());
-  frame.put<std::uint64_t>(hist::enabled() ? hist::now_ns() : 0);
-  frame.put<std::int32_t>(fn_id);
-  // Ship exactly the unread suffix [position(), size()): the argument
-  // convention is "the task function sees the bytes the caller had not yet
-  // consumed", and the local fast path in asyncAtFrame honors the same
-  // slice, so a caller that pre-read a prefix gets identical bytes either
-  // way (ISSUE 10 satellite).
-  if (args.remaining() != 0) {
-    frame.put_raw(args.bytes().data() + args.position(), args.remaining());
-  }
+  // The header slot open_task_frame reserved, in rt_am_spawn's layout. The
+  // ship-time stamp and the sending place travel inside the frame (not on
+  // the Message) so they survive coalescing into an envelope train; the
+  // source place lets the receiver pick the right clock offset for the
+  // aligned ship-latency sample.
+  std::size_t at = 0;
+  auto fill = [&frame, &at](const auto v) {
+    frame.overwrite(at, v);
+    at += sizeof v;
+  };
+  fill(static_cast<std::int32_t>(ctx.key.home));
+  fill(static_cast<std::uint64_t>(ctx.key.seq));
+  fill(static_cast<std::uint8_t>(ctx.mode));
+  fill(credit);
+  fill(span);
+  fill(parent_span);
+  fill(static_cast<std::int32_t>(here()));
+  fill(static_cast<std::uint64_t>(hist::enabled() ? hist::now_ns() : 0));
+  fill(static_cast<std::int32_t>(fn_id));
+  assert(at == kTaskFrameHeaderBytes);
   transport_->send_am(here(), dst, am_spawn_, std::move(frame),
                       x10rt::MsgType::kTask);
 }
 
-void Runtime::send_immediate_frame(int dst, int fn_id, x10rt::ByteBuffer args,
+x10rt::ByteBuffer Runtime::open_immediate_frame(int fn_id,
+                                                std::size_t args_bytes) {
+  std::vector<std::byte> storage;
+  storage.reserve(sizeof(std::int32_t) + args_bytes);
+  x10rt::ByteBuffer frame{std::move(storage)};
+  frame.put<std::int32_t>(fn_id);
+  return frame;
+}
+
+void Runtime::send_immediate_frame(int dst, x10rt::ByteBuffer frame,
                                    x10rt::MsgType type) {
   // Mirrors immediate_at's accounting exactly: a trace event plus the
   // transport's own per-class tallies — no tasks_shipped bump, no
@@ -824,11 +847,6 @@ void Runtime::send_immediate_frame(int dst, int fn_id, x10rt::ByteBuffer args,
   // tasks_shipped).
   trace::emit(trace::Ev::kMsgSend, static_cast<std::uint64_t>(type),
               static_cast<std::uint64_t>(dst));
-  x10rt::ByteBuffer frame = transport_->acquire_buffer();
-  frame.put<std::int32_t>(fn_id);
-  if (args.remaining() != 0) {
-    frame.put_raw(args.bytes().data() + args.position(), args.remaining());
-  }
   transport_->send_am(here(), dst, am_immediate_, std::move(frame), type);
   // Immediates are rendezvous traffic: the caller typically blocks for the
   // peer's reply *inside an activity* (Team barrier, a GLB steal wait), so

@@ -157,26 +157,45 @@ class Runtime {
                  std::uint64_t credit, std::uint64_t span = 0,
                  std::uint64_t parent_span = 0);
 
+  /// Bytes of the am_spawn header that leads every frame task:
+  /// [home i32][seq u64][mode u8][credit u64][span u64][parent_span u64]
+  /// [src i32][t_send_ns u64][fn_id i32], then the task's args.
+  static constexpr std::size_t kTaskFrameHeaderBytes = 53;
+
+  /// A frame task's wire buffer, from the calling place's pool shard, with
+  /// the header slot reserved: the spawn site encodes the task's args
+  /// straight after it (one buffer per spawn) and ships it with
+  /// send_task_frame.
+  [[nodiscard]] x10rt::ByteBuffer open_task_frame();
+
   /// Ships a *frame* task — a registered task-function id (task_registry.h)
-  /// plus serialized args — under the given finish context. The only spawn
-  /// path that crosses process boundaries; in-process it behaves exactly
-  /// like send_task. Ship-time is stamped inside the frame (the receiver's
-  /// clock differs across processes, so the sample lands in
-  /// task.ship_xproc_ns there — scheduler.h ship_latency_ns).
-  void send_task_frame(int dst, int fn_id, x10rt::ByteBuffer args,
+  /// plus the args encoded into `frame` (from open_task_frame) — under the
+  /// given finish context, filling in the header. The only spawn path that
+  /// crosses process boundaries; in-process it behaves exactly like
+  /// send_task. Ship-time is stamped inside the frame (the receiver's clock
+  /// differs across processes, so the sample lands in task.ship_xproc_ns
+  /// there — scheduler.h ship_latency_ns).
+  void send_task_frame(int dst, int fn_id, x10rt::ByteBuffer frame,
                        const FinCtx& ctx, std::uint64_t credit,
                        std::uint64_t span = 0, std::uint64_t parent_span = 0);
 
   /// Sends a control-message closure (finish protocol traffic).
   void send_ctrl(int dst, std::function<void()> fn, std::size_t bytes);
 
-  /// Ships a fire-and-forget *frame* immediate — a registered task-function
-  /// id plus serialized args, run inline by the receiver's poller outside
-  /// any finish scope. The wire twin of immediate_at (api.h): same
-  /// accounting (no tasks_shipped bump, no ship-latency sample), but the
-  /// payload is bytes instead of a closure, so it crosses process
-  /// boundaries. Always routes through the transport, even to self.
-  void send_immediate_frame(int dst, int fn_id, x10rt::ByteBuffer args,
+  /// An immediate frame — [fn_id i32][args...] — in one buffer sized
+  /// exactly for `args_bytes` of args, which the caller appends. Not
+  /// pooled: the receiving task may keep the storage (Team mail does).
+  [[nodiscard]] static x10rt::ByteBuffer open_immediate_frame(
+      int fn_id, std::size_t args_bytes);
+
+  /// Ships a fire-and-forget *frame* immediate built by open_immediate_frame
+  /// — a registered task-function id plus serialized args, run inline by
+  /// the receiver's poller outside any finish scope. The wire twin of
+  /// immediate_at (api.h): same accounting (no tasks_shipped bump, no
+  /// ship-latency sample), but the payload is bytes instead of a closure,
+  /// so it crosses process boundaries. Always routes through the transport,
+  /// even to self.
+  void send_immediate_frame(int dst, x10rt::ByteBuffer frame,
                             x10rt::MsgType type = x10rt::MsgType::kOther);
 
   /// Aborts with the closure-cannot-cross-processes diagnostic when `dst`

@@ -234,7 +234,7 @@ struct PendingMail {
   int tag;
   int src_rank;
   int dst_rank;
-  std::vector<std::byte> payload;
+  Mail payload;
 };
 std::unordered_map<std::uint64_t, std::vector<PendingMail>> g_pending;
 
@@ -242,7 +242,7 @@ std::unordered_map<std::uint64_t, std::vector<PendingMail>> g_pending;
 /// registry -> member everywhere (get_or_create drains pending mail while
 /// holding the registry lock), never the reverse.
 void file_mail(TeamState& team, std::uint64_t seq, int tag, int src_rank,
-               int dst_rank, std::vector<std::byte> payload) {
+               int dst_rank, Mail payload) {
   if (dst_rank < 0 || dst_rank >= static_cast<int>(team.per.size())) {
     std::fprintf(stderr,
                  "[apgas] fatal: team mail frame addresses rank %d of team "
@@ -260,15 +260,18 @@ void file_mail(TeamState& team, std::uint64_t seq, int tag, int src_rank,
 /// The registered frame task carrying emulated/hierarchical Team mail:
 /// [team_id u64][seq u64][tag i32][src_rank i32][dst_rank i32][payload raw].
 /// Registered pre-main (pre-fork), so every place process of one binary
-/// agrees on the id — the same contract as every other frame task.
+/// agrees on the id — the same contract as every other frame task. The
+/// payload is the frame's unread suffix; the task keeps the frame's storage
+/// (the transport then has nothing to recycle) rather than copying it out.
 void team_mail_task(x10rt::ByteBuffer& b) {
   const auto team_id = b.get<std::uint64_t>();
   const auto seq = b.get<std::uint64_t>();
   const int tag = b.get<std::int32_t>();
   const int src_rank = b.get<std::int32_t>();
   const int dst_rank = b.get<std::int32_t>();
-  std::vector<std::byte> payload(b.remaining());
-  if (!payload.empty()) b.get_raw(payload.data(), payload.size());
+  Mail payload;
+  payload.off = b.position();
+  payload.frame = b.take_data();
   std::shared_ptr<TeamState> team;
   {
     std::scoped_lock lock(g_registry_mu);
@@ -335,27 +338,31 @@ std::uint64_t Team::next_seq() {
 }
 
 void Team::send_bytes(std::uint64_t seq, int tag, int dst_rank,
-                      std::vector<std::byte> payload) {
+                      const void* data, std::size_t n) {
   // Mail rides a registered frame task instead of a closure, so it crosses
   // process boundaries under the socket backend; the in-process backend runs
-  // the identical frame path, keeping both backends' accounting equal.
+  // the identical frame path, keeping both backends' accounting equal. The
+  // whole immediate frame — fn id, mail header, payload — is built in one
+  // exactly sized buffer, the payload's only copy on the way out.
+  constexpr std::size_t kMailHeaderBytes =
+      sizeof(std::uint64_t) * 2 + sizeof(std::int32_t) * 3;
   const int dst_place = place_of(dst_rank);
-  auto frame = Runtime::get().transport().acquire_buffer();
+  x10rt::ByteBuffer frame = Runtime::open_immediate_frame(
+      team_detail::kTeamMailTask, kMailHeaderBytes + n);
   frame.put(state_->id);
   frame.put(seq);
   frame.put(static_cast<std::int32_t>(tag));
   frame.put(static_cast<std::int32_t>(rank()));
   frame.put(static_cast<std::int32_t>(dst_rank));
-  if (!payload.empty()) frame.put_raw(payload.data(), payload.size());
-  immediateAtFrame(dst_place, team_detail::kTeamMailTask, std::move(frame),
-                   x10rt::MsgType::kCollective);
+  if (n != 0) frame.put_raw(data, n);
+  Runtime::get().send_immediate_frame(dst_place, std::move(frame),
+                                      x10rt::MsgType::kCollective);
 }
 
-std::vector<std::byte> Team::recv_bytes(std::uint64_t seq, int tag,
-                                        int src_rank) {
+team_detail::Mail Team::recv_bytes(std::uint64_t seq, int tag, int src_rank) {
   auto& member = *state_->per[static_cast<std::size_t>(rank())];
   const auto key = std::make_tuple(seq, tag, src_rank);
-  std::vector<std::byte> out;
+  team_detail::Mail out;
   bool got = false;
   Runtime::get().sched(here()).run_until([&] {
     std::scoped_lock lock(member.mu);
@@ -398,7 +405,7 @@ void Team::barrier() {
   const std::uint64_t seq = next_seq();
   const int me = rank();
   for (int round = 0, dist = 1; dist < sz; ++round, dist <<= 1) {
-    send_bytes(seq, /*tag=*/100 + round, (me + dist) % sz, {});
+    send_bytes(seq, /*tag=*/100 + round, (me + dist) % sz, nullptr, 0);
     (void)recv_bytes(seq, /*tag=*/100 + round, (me + sz - dist) % sz);
   }
 }
@@ -450,11 +457,11 @@ void Team::hier_barrier() {
     }
     if (tree.parent[static_cast<std::size_t>(me)] != -1) {
       const int parent = tree.parent[static_cast<std::size_t>(me)];
-      send_bytes(seq, team_detail::kTagBarrierUp, parent, {});
+      send_bytes(seq, team_detail::kTagBarrierUp, parent, nullptr, 0);
       (void)recv_bytes(seq, team_detail::kTagBarrierDown, parent);
     }
     for (int c : tree.children[static_cast<std::size_t>(me)]) {
-      send_bytes(seq, team_detail::kTagBarrierDown, c, {});
+      send_bytes(seq, team_detail::kTagBarrierDown, c, nullptr, 0);
     }
     if (gsize > 1) {
       g.pub.fetch_add(1, std::memory_order_release);

@@ -174,10 +174,20 @@ inline ChunkPlan plan_chunks(std::size_t bytes, std::size_t chunk_bytes,
 void note_chunk(std::uint64_t op, std::size_t chunk_idx, int dst_rank,
                 std::size_t bytes);
 
+/// One delivered mail payload. The receiver files the whole mail frame and
+/// where the payload starts in it, instead of copying the payload out.
+struct Mail {
+  std::vector<std::byte> frame;
+  std::size_t off = 0;
+
+  [[nodiscard]] const std::byte* data() const { return frame.data() + off; }
+  [[nodiscard]] std::size_t size() const { return frame.size() - off; }
+};
+
 struct Member {
   std::mutex mu;
   // (op sequence, phase tag, source rank) -> payload
-  std::map<std::tuple<std::uint64_t, int, int>, std::vector<std::byte>> mail;
+  std::map<std::tuple<std::uint64_t, int, int>, Mail> mail;
   std::uint64_t op_seq = 0;  // collective calls in program order
   // Hierarchical-group counter mirrors: this member's expected base of the
   // cumulative GroupShared counters entering the next op. Every group
@@ -310,9 +320,10 @@ class Team {
       : state_(std::move(s)) {}
 
   // --- emulated-path primitives ---------------------------------------------
-  void send_bytes(std::uint64_t seq, int tag, int dst_rank,
-                  std::vector<std::byte> payload);
-  std::vector<std::byte> recv_bytes(std::uint64_t seq, int tag, int src_rank);
+  /// Mails `n` bytes at `data` to `dst_rank`: one copy, into the frame.
+  void send_bytes(std::uint64_t seq, int tag, int dst_rank, const void* data,
+                  std::size_t n);
+  team_detail::Mail recv_bytes(std::uint64_t seq, int tag, int src_rank);
   std::uint64_t next_seq();
 
   // --- hierarchical-path primitives (docs/collectives.md) -------------------
@@ -388,9 +399,7 @@ void Team::bcast(int root, T* buf, std::size_t n) {
   while (mask > 0) {
     if (rel + mask < sz) {
       const int dst = (rel + mask + root) % sz;
-      std::vector<std::byte> payload(bytes);
-      std::memcpy(payload.data(), buf, bytes);
-      send_bytes(seq, /*tag=*/0, dst, std::move(payload));
+      send_bytes(seq, /*tag=*/0, dst, buf, bytes);
     }
     mask >>= 1;
   }
@@ -436,10 +445,7 @@ void Team::reduce(int root, T* buf, std::size_t n, ReduceOp op) {
         combine(op, buf, reinterpret_cast<const T*>(payload.data()), n);
       }
     } else {
-      std::vector<std::byte> payload(bytes);
-      std::memcpy(payload.data(), buf, bytes);
-      send_bytes(seq, /*tag=*/1, (rel - mask + root) % sz,
-                 std::move(payload));
+      send_bytes(seq, /*tag=*/1, (rel - mask + root) % sz, buf, bytes);
       break;
     }
     mask <<= 1;
@@ -484,10 +490,8 @@ void Team::scatter(int root, const T* send, T* recv, std::size_t n) {
         std::memcpy(recv, send + static_cast<std::size_t>(r) * n, bytes);
         continue;
       }
-      std::vector<std::byte> payload(bytes);
-      std::memcpy(payload.data(), send + static_cast<std::size_t>(r) * n,
-                  bytes);
-      send_bytes(seq, /*tag=*/4, r, std::move(payload));
+      send_bytes(seq, /*tag=*/4, r, send + static_cast<std::size_t>(r) * n,
+                 bytes);
     }
   } else {
     auto payload = recv_bytes(seq, /*tag=*/4, root);
@@ -527,9 +531,7 @@ void Team::gather(int root, const T* send, T* recv, std::size_t n) {
                   bytes);
     }
   } else {
-    std::vector<std::byte> payload(bytes);
-    std::memcpy(payload.data(), send, bytes);
-    send_bytes(seq, /*tag=*/5, root, std::move(payload));
+    send_bytes(seq, /*tag=*/5, root, send, bytes);
   }
 }
 
@@ -557,10 +559,8 @@ void Team::alltoall(const T* send, T* recv, std::size_t n) {
   std::memcpy(recv + static_cast<std::size_t>(me) * n, send + me * n, bytes);
   for (int d = 1; d < sz; ++d) {
     const int dst = (me + d) % sz;
-    std::vector<std::byte> payload(bytes);
-    std::memcpy(payload.data(), send + static_cast<std::size_t>(dst) * n,
-                bytes);
-    send_bytes(seq, /*tag=*/2, dst, std::move(payload));
+    send_bytes(seq, /*tag=*/2, dst, send + static_cast<std::size_t>(dst) * n,
+               bytes);
   }
   for (int d = 1; d < sz; ++d) {
     const int src = (me + sz - d) % sz;
@@ -589,10 +589,8 @@ void Team::allgather(const T* send, T* recv, std::size_t n) {
   }
   const std::uint64_t seq = next_seq();
   std::memcpy(recv + static_cast<std::size_t>(me) * n, send, bytes);
-  std::vector<std::byte> mine(bytes);
-  std::memcpy(mine.data(), send, bytes);
   for (int d = 1; d < sz; ++d) {
-    send_bytes(seq, /*tag=*/3, (me + d) % sz, std::vector<std::byte>(mine));
+    send_bytes(seq, /*tag=*/3, (me + d) % sz, send, bytes);
   }
   for (int d = 1; d < sz; ++d) {
     const int src = (me + sz - d) % sz;
@@ -647,10 +645,8 @@ void Team::hier_bcast(int root, T* buf, std::size_t n) {
         std::memcpy(data + off, payload.data(), len);
       }
       for (int c : tree.children[static_cast<std::size_t>(me)]) {
-        std::vector<std::byte> payload(len);
-        std::memcpy(payload.data(), data + off, len);
         send_bytes(seq, team_detail::kTagBcastChunk + static_cast<int>(k), c,
-                   std::move(payload));
+                   data + off, len);
         team_detail::note_chunk(team_detail::kOpBcast, k, c, len);
       }
       if (gsize > 1) {
@@ -725,12 +721,9 @@ void Team::hier_reduce(int root, T* buf, std::size_t n, ReduceOp op) {
         combine(op, acc, reinterpret_cast<const T*>(payload.data()), elems);
       }
       if (me != root) {
-        std::vector<std::byte> payload(len);
-        std::memcpy(payload.data(), reinterpret_cast<std::byte*>(buf) + off,
-                    len);
         const int parent = tree.parent[static_cast<std::size_t>(me)];
         send_bytes(seq, team_detail::kTagReduceChunk + static_cast<int>(k),
-                   parent, std::move(payload));
+                   parent, reinterpret_cast<std::byte*>(buf) + off, len);
         team_detail::note_chunk(team_detail::kOpReduce, k, parent, len);
       }
     }
@@ -739,11 +732,8 @@ void Team::hier_reduce(int root, T* buf, std::size_t n, ReduceOp op) {
     for (std::size_t k = 0; k < plan.nchunks; ++k) {
       std::size_t off, len;
       chunk_of(k, off, len);
-      std::vector<std::byte> payload(len);
-      std::memcpy(payload.data(), reinterpret_cast<std::byte*>(buf) + off,
-                  len);
       send_bytes(seq, team_detail::kTagReduceChunk + static_cast<int>(k),
-                 leader, std::move(payload));
+                 leader, reinterpret_cast<std::byte*>(buf) + off, len);
       team_detail::note_chunk(team_detail::kOpReduce, k, leader, len);
     }
   }

@@ -11,6 +11,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <span>
 #include <tuple>
 #include <stdexcept>
@@ -31,15 +32,13 @@ class ByteBuffer {
   template <typename T>
     requires std::is_trivially_copyable_v<T>
   void put(const T& value) {
-    const auto* src = reinterpret_cast<const std::byte*>(&value);
-    data_.insert(data_.end(), src, src + sizeof(T));
+    put_raw(&value, sizeof(T));
   }
 
   /// Appends a length-prefixed string.
   void put_string(const std::string& s) {
     put(static_cast<std::uint32_t>(s.size()));
-    const auto* src = reinterpret_cast<const std::byte*>(s.data());
-    data_.insert(data_.end(), src, src + s.size());
+    put_raw(s.data(), s.size());
   }
 
   /// Appends a length-prefixed vector of trivially copyable elements.
@@ -50,10 +49,14 @@ class ByteBuffer {
     put_raw(v.data(), v.size() * sizeof(T));
   }
 
-  /// Appends `n` raw bytes.
+  /// Appends `n` raw bytes. Grows with resize + memcpy rather than a range
+  /// insert, whose inlined relocation path g++ 12 misreads as an overflow
+  /// (-Wstringop-overflow) on a freshly constructed buffer.
   void put_raw(const void* src, std::size_t n) {
-    const auto* p = reinterpret_cast<const std::byte*>(src);
-    data_.insert(data_.end(), p, p + n);
+    if (n == 0) return;
+    const std::size_t at = data_.size();
+    data_.resize(at + n);
+    std::memcpy(data_.data() + at, src, n);
   }
 
   /// Overwrites sizeof(T) already-written bytes at `pos` (length-prefix
@@ -133,8 +136,11 @@ class ByteBuffer {
   void check_remaining(std::size_t n) const {
     // Phrased as a subtraction against the guaranteed cursor_ <= size()
     // invariant: `cursor_ + n` would wrap for adversarial n near SIZE_MAX
-    // and let the read through.
-    if (n > data_.size() - cursor_) {
+    // and let the read through. The PTRDIFF_MAX clause is implied (no
+    // vector holds more) but lets the optimizer see that a constant
+    // oversize request never reaches memcpy (-Wstringop-overflow).
+    if (n > static_cast<std::size_t>(std::numeric_limits<std::ptrdiff_t>::max()) ||
+        n > data_.size() - cursor_) {
       throw std::out_of_range("ByteBuffer underflow");
     }
   }

@@ -20,11 +20,23 @@ std::uint64_t mono_ns() {
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
 }
+
+/// The initiator-side completion of a one-sided op: a closure message with
+/// no payload bytes.
+Message dma_completion(std::function<void()> on_complete, MsgType type,
+                       int initiator) {
+  Message m;
+  m.run = std::move(on_complete);
+  m.type = type;
+  m.src = initiator;
+  return m;
+}
 }  // namespace
 
 Transport::Transport(TransportConfig cfg)
     : cfg_(cfg),
       backend_(std::make_unique<InProcBackend>()),
+      pool_(cfg.places),
       ranges_(static_cast<std::size_t>(cfg.places)) {
   assert(cfg_.places >= 1);
   if (cfg_.chaos.lossy() && !reliability_enabled()) {
@@ -283,17 +295,22 @@ void Transport::deliver_frame(int peer, const std::uint8_t* data,
       m.run = [] {};
       break;
     case frame::Kind::kAm: {
-      std::vector<std::byte> payload(h.payload_len);
-      std::memcpy(payload.data(), data + frame::kHeaderBytes, h.payload_len);
+      // Receive storage comes from the local place's pool shard and returns
+      // to it after the handler, like an in-process AM's.
+      std::vector<std::byte> payload = pool_.acquire(local_place_);
+      const auto* body = reinterpret_cast<const std::byte*>(data) +
+                         frame::kHeaderBytes;
+      payload.assign(body, body + h.payload_len);
       const AmHandler* fn = &am_handlers_[static_cast<std::size_t>(h.handler)];
       m.handler = h.handler;
       // mutable + move: each chaos-dup copy of the Message deep-copies the
       // closure (and its payload), so a single run consuming the storage
       // is safe.
-      m.run = [this, fn, payload = std::move(payload)]() mutable {
+      const int place = local_place_;
+      m.run = [this, fn, place, payload = std::move(payload)]() mutable {
         ByteBuffer buf{std::move(payload)};
         (*fn)(buf);
-        pool_.release(buf.take_data());
+        pool_.release(place, buf.take_data());
       };
       break;
     }
@@ -737,8 +754,9 @@ void Transport::submit_dma(DmaOp op, MsgType completion_type) {
     // Synchronous fallback (dma_threads = 0).
     std::memcpy(op.dst, op.src, op.n);
     if (op.on_complete) {
-      send(op.initiator, Message{std::move(op.on_complete), completion_type,
-                                 0, op.initiator});
+      send(op.initiator,
+           dma_completion(std::move(op.on_complete), completion_type,
+                          op.initiator));
     }
     return;
   }
@@ -762,8 +780,8 @@ void Transport::dma_loop() {
     auto& [op, type] = item;
     std::memcpy(op.dst, op.src, op.n);
     if (op.on_complete) {
-      send(op.initiator, Message{std::move(op.on_complete), type, 0,
-                                 op.initiator});
+      send(op.initiator,
+           dma_completion(std::move(op.on_complete), type, op.initiator));
     }
   }
 }
@@ -873,7 +891,7 @@ void Transport::send_am(int src, int dst, int handler, ByteBuffer payload,
           s.clear();
           w.open(std::move(s));
         } else {
-          w.open(pool_.acquire());
+          w.open(pool_.acquire(src));
         }
         shard.active.push_back(dst);
         shard.open_ns[static_cast<std::size_t>(dst)] = mono_ns();
@@ -903,7 +921,7 @@ void Transport::send_am(int src, int dst, int handler, ByteBuffer payload,
             std::find(shard.active.begin(), shard.active.end(), dst));
       }
     }
-    if (!recycle.empty()) pool_.release_batch(std::move(recycle));
+    if (!recycle.empty()) pool_.release_batch(src, std::move(recycle));
     if (ship) {
       ship_envelope(src, dst, std::move(ready), ready_records, reason,
                     ready_open_ns);
@@ -940,11 +958,12 @@ void Transport::send_am(int src, int dst, int handler, ByteBuffer payload,
     send(dst, std::move(m));
     return;
   }
+  // The handler runs at dst, so the storage recycles into dst's shard.
   const AmHandler* fn = &am_handlers_[static_cast<std::size_t>(handler)];
-  m.run = [this, fn, payload = std::move(payload)]() mutable {
+  m.run = [this, fn, dst, payload = std::move(payload)]() mutable {
     payload.rewind();
     (*fn)(payload);
-    pool_.release(payload.take_data());
+    pool_.release(dst, payload.take_data());
   };
   send(dst, std::move(m));
 }
@@ -1003,8 +1022,7 @@ void Transport::deliver_envelope(int src, int dst, ByteBuffer env) {
         // Copy the record out so the handler sees the exact contract of the
         // direct path: a standalone ByteBuffer with cursor 0,
         // size() == payload size.
-        std::vector<std::byte> storage = pool_.acquire();
-        storage.clear();
+        std::vector<std::byte> storage = pool_.acquire(dst);
         storage.resize(len);
         buf.get_raw(storage.data(), len);
         const AmHandler* fn = &am_handlers_[static_cast<std::size_t>(handler)];
@@ -1012,14 +1030,14 @@ void Transport::deliver_envelope(int src, int dst, ByteBuffer env) {
         m.src = src;
         m.type = MsgType::kControl;
         m.bytes = len + sizeof(int);
-        m.run = [this, fn,
+        m.run = [this, fn, dst,
                  payload = ByteBuffer{std::move(storage)}]() mutable {
           (*fn)(payload);
-          pool_.release(payload.take_data());
+          pool_.release(dst, payload.take_data());
         };
         wire_deliver(dst, std::move(m));
       });
-  pool_.release(env.take_data());
+  pool_.release(dst, env.take_data());
 }
 
 std::size_t Transport::flush_coalesced(int src, FlushReason reason) {
@@ -1056,7 +1074,7 @@ std::size_t Transport::flush_coalesced(int src, FlushReason reason) {
       shard.active.clear();
     }
   }
-  if (!recycle.empty()) pool_.release_batch(std::move(recycle));
+  if (!recycle.empty()) pool_.release_batch(src, std::move(recycle));
   for (auto& [dst, env, n, opened] : ready) {
     ship_envelope(src, dst, std::move(env), n, reason, opened);
   }

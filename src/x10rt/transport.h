@@ -242,13 +242,13 @@ class Transport {
   /// quiescence (reason kQuiesce).
   std::size_t flush_coalesced(int src, FlushReason reason = FlushReason::kIdle);
 
-  /// A ByteBuffer backed by pooled storage — frame encoders use this instead
-  /// of a fresh vector so the control plane recycles wire buffers.
-  [[nodiscard]] ByteBuffer acquire_buffer() {
-    return ByteBuffer{pool_.acquire()};
+  /// A ByteBuffer backed by pooled storage from `place`'s shard — frame
+  /// encoders at `place` use this instead of a fresh vector so the control
+  /// plane recycles wire buffers. The consumer of the AM recycles the
+  /// storage into its own place's shard once the handler returns.
+  [[nodiscard]] ByteBuffer acquire_buffer(int place) {
+    return ByteBuffer{pool_.acquire(place)};
   }
-  /// Returns a buffer's storage to the pool.
-  void recycle_buffer(ByteBuffer&& buf) { pool_.release(buf.take_data()); }
 
   [[nodiscard]] const BufferPool& pool() const { return pool_; }
 
@@ -545,9 +545,9 @@ class Transport {
     // residency reported through flush_hook.
     std::vector<std::uint64_t> open_ns;
     // Payload storage taken back after a record is copied into an envelope,
-    // parked here (we already hold `mu`) and recycled to the BufferPool in
-    // one batch per shipped envelope — per-envelope freelist locking instead
-    // of per-message.
+    // parked here (we already hold `mu`) and recycled to the source place's
+    // pool shard in one batch per shipped envelope — per-envelope freelist
+    // locking instead of per-message.
     std::vector<std::vector<std::byte>> spare;
     // Per-destination dynamic flush threshold (0 = use the static cap) and
     // the count of sends it diverted to the direct path. Written only by

@@ -11,11 +11,14 @@
 #include "runtime/metrics.h"
 #include "runtime/monitor.h"
 #include "runtime/team.h"
+#include "x10rt/transport.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <array>
 #include <chrono>
+#include <cstdint>
 #include <thread>
 #include <vector>
 
@@ -457,6 +460,130 @@ TEST(IdleSiblingFlush, SpinningSenderCoalescedSendArrives) {
     });
   });
   EXPECT_TRUE(arrived);
+}
+
+// --- place-local wire-buffer pool under cross-place traffic -----------------
+//
+// Every remote spawn frame is acquired from the sender's pool shard and
+// released into the receiver's, so with 4 places x 2 workers each shard is
+// hit by its own workers, by peers' refills, and never by a lock it shares.
+
+struct PoolLeaf {
+  std::uint64_t round;
+  std::int32_t src;
+  std::int32_t dst;
+  std::array<std::uint64_t, 6> words;
+};
+
+std::uint64_t pool_word(const PoolLeaf& l, int w) {
+  return (l.round * 1000003u) ^ (static_cast<std::uint64_t>(l.src) << 40) ^
+         (static_cast<std::uint64_t>(l.dst) << 20) ^
+         static_cast<std::uint64_t>(w);
+}
+
+std::atomic<int> g_pool_leaves{0};
+std::atomic<int> g_pool_bad{0};
+
+void pool_leaf(PoolLeaf l) {
+  bool ok = l.dst == here();
+  for (int w = 0; w < 6; ++w) {
+    ok = ok && l.words[static_cast<std::size_t>(w)] == pool_word(l, w);
+  }
+  if (!ok) g_pool_bad.fetch_add(1);
+  g_pool_leaves.fetch_add(1);
+}
+const RemoteFn<PoolLeaf> kPoolLeaf{&pool_leaf};
+
+void pool_exchange(std::uint64_t round) {
+  for (int p = 0; p < num_places(); ++p) {
+    for (int i = 0; i < 16; ++i) {
+      PoolLeaf l{round, here(), p, {}};
+      for (int w = 0; w < 6; ++w) {
+        l.words[static_cast<std::size_t>(w)] = pool_word(l, w);
+      }
+      asyncAtArgs(p, kPoolLeaf, l);
+    }
+  }
+}
+const RemoteFn<std::uint64_t> kPoolExchange{&pool_exchange};
+
+TEST(PoolStress, FramesCrossPlacesUnderTwoWorkers) {
+  constexpr int kPlaces = 4;
+  constexpr int kRounds = 20;
+  g_pool_leaves.store(0);
+  g_pool_bad.store(0);
+  Runtime::run(cfg_w(kPlaces, 2), [] {
+    for (std::uint64_t r = 0; r < kRounds; ++r) {
+      finish([r] {
+        for (int p = 0; p < num_places(); ++p) asyncAtArgs(p, kPoolExchange, r);
+      });
+    }
+  });
+  EXPECT_EQ(g_pool_leaves.load(), kRounds * kPlaces * kPlaces * 16);
+  EXPECT_EQ(g_pool_bad.load(), 0);
+  const auto& m = last_run_metrics();
+  // One pooled frame per remote spawn, at least: the leaves plus the
+  // exchange tasks that left place 0.
+  const std::uint64_t remote_spawns =
+      static_cast<std::uint64_t>(kRounds) *
+      (kPlaces * (kPlaces - 1) * 16 + (kPlaces - 1));
+  EXPECT_GE(m.at("transport.pool.hits") + m.at("transport.pool.misses"),
+            remote_spawns);
+  EXPECT_GE(m.at("transport.pool.recycled") + m.at("transport.pool.dropped"),
+            remote_spawns);
+}
+
+TEST(PoolStress, ExactBooksWithTwoThreadsPerPlace) {
+  // The transport alone: two threads per place send AMs built in pooled
+  // buffers to every other place and drain their own inbox, whose handlers
+  // release into the receiving place's shard.
+  constexpr int kPlaces = 4;
+  constexpr int kThreads = 2;
+  constexpr int kPerThread = 2000;
+  x10rt::TransportConfig tc;
+  tc.places = kPlaces;
+  tc.dma_threads = 0;
+  x10rt::Transport tr(tc);
+  std::atomic<int> handled{0};
+  const int h = tr.register_am([&handled](x10rt::ByteBuffer& b) {
+    (void)b.get<std::uint64_t>();
+    handled.fetch_add(1);
+  });
+  constexpr int kTotal = kPlaces * kThreads * kPerThread;
+  std::vector<std::thread> threads;
+  for (int p = 0; p < kPlaces; ++p) {
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&tr, &handled, h, p, t] {
+        for (int i = 0; i < kPerThread; ++i) {
+          x10rt::ByteBuffer b = tr.acquire_buffer(p);
+          b.put(static_cast<std::uint64_t>(i));
+          const int dst = (p + 1 + (i + t) % (kPlaces - 1)) % kPlaces;
+          tr.send_am(p, dst, h, std::move(b));
+          if (auto m = tr.poll(p)) m->run();
+        }
+        while (handled.load() < kTotal) {
+          if (auto m = tr.poll(p)) {
+            m->run();
+          } else {
+            std::this_thread::yield();
+          }
+        }
+      });
+    }
+  }
+  for (auto& th : threads) th.join();
+  ASSERT_EQ(handled.load(), kTotal);
+  const auto& pool = tr.pool();
+  const auto t = pool.totals();
+  EXPECT_EQ(t.hits + t.misses, static_cast<std::uint64_t>(kTotal));
+  EXPECT_EQ(t.recycled + t.dropped, static_cast<std::uint64_t>(kTotal));
+  for (int p = 0; p < kPlaces; ++p) {
+    const auto s = pool.stats(p);
+    EXPECT_EQ(s.hits + s.misses,
+              static_cast<std::uint64_t>(kThreads * kPerThread));
+    EXPECT_EQ(s.retained, s.recycled + s.refill_in - s.refill_out - s.hits);
+    EXPECT_LE(s.retained, pool.max_retained());
+  }
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <mutex>
 #include <new>
@@ -258,6 +259,57 @@ TEST(FrameCursorParity, LocalAndWirePathsSeeTheSameBytes) {
     EXPECT_EQ(g_seen[0].second, "payload-after-prefix");
     EXPECT_EQ(g_seen[1].second, "payload-after-prefix");
   });
+}
+
+// asyncAtArgs encodes its args straight into the remote spawn frame (and
+// rt_am_spawn hands them over from the frame's pooled storage), so the
+// parity contract is checked byte for byte on every path: typed args local
+// and remote, and a raw frame whose caller pre-read a prefix.
+std::mutex g_raw_mu;
+std::vector<std::pair<int, std::vector<std::byte>>> g_raw;  // (tag, bytes)
+
+void raw_task(x10rt::ByteBuffer& args) {
+  const auto tag = args.get<std::int32_t>();
+  std::vector<std::byte> rest(args.remaining());
+  args.get_raw(rest.data(), rest.size());
+  std::scoped_lock lock(g_raw_mu);
+  g_raw.emplace_back(tag, std::move(rest));
+}
+const int kRawTask = register_task_fn(&raw_task);
+
+TEST(FrameCursorParity, AsyncAtArgsFramesCarryTheSameBytesEverywhere) {
+  Config cfg;
+  cfg.places = 3;
+  const std::vector<long> nums{5, -6, 7000000000L};
+  const std::string word = "spawn-once";
+  x10rt::ByteBuffer want;
+  x10rt::ser_put(want, nums, word);
+  Runtime::run(cfg, [&] {
+    {
+      std::scoped_lock lock(g_raw_mu);
+      g_raw.clear();
+    }
+    finish([&] {
+      for (int p = 0; p < num_places(); ++p) {
+        asyncAtArgs(p, kRawTask, std::int32_t{0}, nums, word);
+        x10rt::ByteBuffer b;
+        b.put<std::uint64_t>(0xfeedULL);  // a prefix the caller consumes
+        b.put<std::int32_t>(1);
+        x10rt::ser_put(b, nums, word);
+        (void)b.get<std::uint64_t>();
+        asyncAtFrame(p, kRawTask, std::move(b));
+      }
+    });
+  });
+  std::scoped_lock lock(g_raw_mu);
+  ASSERT_EQ(g_raw.size(), 6u);
+  const auto want_bytes = want.bytes();
+  for (const auto& [tag, bytes] : g_raw) {
+    EXPECT_TRUE(tag == 0 || tag == 1);
+    EXPECT_TRUE(std::equal(bytes.begin(), bytes.end(), want_bytes.begin(),
+                           want_bytes.end()))
+        << "tag " << tag;
+  }
 }
 
 // --- closure-boundary abort (satellite a) ------------------------------------

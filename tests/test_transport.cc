@@ -429,7 +429,7 @@ TEST(TransportCoalesce, BufferPoolRecyclesWireStorage) {
   const int h = tr.register_am([](x10rt::ByteBuffer&) {});
   for (int round = 0; round < 10; ++round) {
     for (int i = 0; i < 20; ++i) {
-      x10rt::ByteBuffer b = tr.acquire_buffer();
+      x10rt::ByteBuffer b = tr.acquire_buffer(0);
       b.put(i);
       tr.send_am(0, 1, h, std::move(b));
     }
@@ -438,8 +438,9 @@ TEST(TransportCoalesce, BufferPoolRecyclesWireStorage) {
   }
   // After warm-up the freelist serves payloads, envelopes, and receive-side
   // record copies.
-  EXPECT_GT(tr.pool().hits(), tr.pool().misses());
-  EXPECT_GT(tr.pool().recycled(), 0u);
+  const x10rt::BufferPool::Stats books = tr.pool().totals();
+  EXPECT_GT(books.hits, books.misses);
+  EXPECT_GT(books.recycled, 0u);
 }
 
 // --- reliability sublayer (ISSUE 5) -----------------------------------------
@@ -689,32 +690,136 @@ TEST(TransportRetxDeathTest, LossyChaosWithoutRetxAborts) {
 }
 
 TEST(BufferPool, AcquireReleaseRoundTrip) {
-  x10rt::BufferPool pool(2, 64);
-  auto a = pool.acquire();
+  x10rt::BufferPool pool(1, 2, 64);
+  auto a = pool.acquire(0);
   EXPECT_TRUE(a.empty());
-  EXPECT_EQ(pool.misses(), 1u);
+  EXPECT_EQ(pool.stats(0).misses, 1u);
   a.resize(32);
-  pool.release(std::move(a));
-  EXPECT_EQ(pool.recycled(), 1u);
-  auto b = pool.acquire();
-  EXPECT_EQ(pool.hits(), 1u);
+  pool.release(0, std::move(a));
+  EXPECT_EQ(pool.stats(0).recycled, 1u);
+  auto b = pool.acquire(0);
+  EXPECT_EQ(pool.stats(0).hits, 1u);
   EXPECT_TRUE(b.empty());
   EXPECT_GE(b.capacity(), 32u);
 }
 
 TEST(BufferPool, DropsOversizeAndSurplus) {
-  x10rt::BufferPool pool(1, 64);
+  x10rt::BufferPool pool(1, 1, 64);
   std::vector<std::byte> big(128);
-  pool.release(std::move(big));  // over max_capacity
-  EXPECT_EQ(pool.dropped(), 1u);
+  pool.release(0, std::move(big));  // over max_capacity
+  EXPECT_EQ(pool.stats(0).dropped, 1u);
   std::vector<std::byte> ok1(16), ok2(16);
-  pool.release(std::move(ok1));
-  pool.release(std::move(ok2));  // freelist already full
-  EXPECT_EQ(pool.recycled(), 1u);
-  EXPECT_EQ(pool.dropped(), 2u);
+  pool.release(0, std::move(ok1));
+  pool.release(0, std::move(ok2));  // freelist already full
+  EXPECT_EQ(pool.stats(0).recycled, 1u);
+  EXPECT_EQ(pool.stats(0).dropped, 2u);
   std::vector<std::byte> empty;
-  pool.release(std::move(empty));  // nothing to retain
-  EXPECT_EQ(pool.dropped(), 3u);
+  pool.release(0, std::move(empty));  // nothing to retain
+  EXPECT_EQ(pool.stats(0).dropped, 3u);
+}
+
+// Checks every shard's books against the acquires/releases the caller made:
+// hits + misses == acquires, recycled + dropped == releases, and the
+// freelist holds exactly what the books say, never more than the cap.
+void expect_exact_books(const x10rt::BufferPool& pool,
+                        const std::vector<std::uint64_t>& acquires,
+                        const std::vector<std::uint64_t>& releases) {
+  std::uint64_t acq = 0;
+  std::uint64_t rel = 0;
+  for (int p = 0; p < pool.places(); ++p) {
+    const auto s = pool.stats(p);
+    const auto i = static_cast<std::size_t>(p);
+    EXPECT_EQ(s.hits + s.misses, acquires[i]) << "place " << p;
+    EXPECT_EQ(s.recycled + s.dropped, releases[i]) << "place " << p;
+    EXPECT_EQ(s.retained, s.recycled + s.refill_in - s.refill_out - s.hits)
+        << "place " << p;
+    EXPECT_LE(s.retained, pool.max_retained()) << "place " << p;
+    acq += acquires[i];
+    rel += releases[i];
+  }
+  const auto t = pool.totals();
+  EXPECT_EQ(t.hits + t.misses, acq);
+  EXPECT_EQ(t.recycled + t.dropped, rel);
+}
+
+TEST(BufferPool, BooksAreExactPerShardAndSummed) {
+  constexpr int kPlaces = 4;
+  x10rt::BufferPool pool(kPlaces, 8, 256);
+  std::vector<std::uint64_t> acquires(kPlaces, 0), releases(kPlaces, 0);
+  std::vector<std::vector<std::byte>> held;
+  // A skewed, deterministic mix: every place acquires, releases land one
+  // place over, so shards drain and refill from each other; some releases
+  // are oversize or empty.
+  for (int round = 0; round < 50; ++round) {
+    for (int p = 0; p < kPlaces; ++p) {
+      const int n = 1 + (round + p) % 5;
+      for (int i = 0; i < n; ++i) {
+        held.push_back(pool.acquire(p));
+        ++acquires[static_cast<std::size_t>(p)];
+        held.back().resize(i % 3 == 2 && round % 7 == 0 ? 512 : 48);
+      }
+    }
+    for (std::size_t k = 0; k < held.size(); ++k) {
+      const int to = static_cast<int>((round + k) % kPlaces);
+      pool.release(to, std::move(held[k]));
+      ++releases[static_cast<std::size_t>(to)];
+    }
+    held.clear();
+    pool.release(round % kPlaces, std::vector<std::byte>{});
+    ++releases[static_cast<std::size_t>(round % kPlaces)];
+  }
+  std::vector<std::vector<std::byte>> batch(20, std::vector<std::byte>(32));
+  pool.release_batch(1, std::move(batch));
+  releases[1] += 20;
+  EXPECT_TRUE(batch.empty());
+  expect_exact_books(pool, acquires, releases);
+  EXPECT_GT(pool.totals().refill_in, 0u);
+}
+
+TEST(BufferPool, RetainedStaysWithinTheShardCap) {
+  x10rt::BufferPool pool(2, 4, 64);
+  for (int i = 0; i < 12; ++i) pool.release(0, std::vector<std::byte>(16));
+  EXPECT_EQ(pool.stats(0).retained, 4u);
+  EXPECT_EQ(pool.stats(0).dropped, 8u);
+  // Place 1 refills half of place 0's freelist in one batch: one buffer is
+  // returned, the rest stay in place 1's shard.
+  auto b = pool.acquire(1);
+  EXPECT_GE(b.capacity(), 16u);
+  EXPECT_EQ(pool.stats(1).hits, 1u);
+  EXPECT_EQ(pool.stats(1).refill_in, 2u);
+  EXPECT_EQ(pool.stats(0).refill_out, 2u);
+  EXPECT_EQ(pool.stats(0).retained, 2u);
+  EXPECT_EQ(pool.stats(1).retained, 1u);
+  for (int i = 0; i < 12; ++i) pool.release(1, std::vector<std::byte>(16));
+  EXPECT_EQ(pool.stats(1).retained, 4u);
+}
+
+TEST(BufferPool, OneToAllKeepsTheSharedPoolsHitRatio) {
+  // Place 0 spawns at every other place; the consumers release into their
+  // own shards. The refill path must keep place 0's hit ratio at least as
+  // high as one shared freelist of the same per-shard cap achieves.
+  constexpr int kPlaces = 4;
+  auto run = [](x10rt::BufferPool& pool, bool sharded) {
+    for (int round = 0; round < 200; ++round) {
+      std::vector<std::vector<std::byte>> sent;
+      for (int i = 0; i < 48; ++i) {
+        sent.push_back(pool.acquire(0));
+        sent.back().resize(120);
+      }
+      for (std::size_t k = 0; k < sent.size(); ++k) {
+        const int consumer = sharded ? 1 + static_cast<int>(k % 3) : 0;
+        pool.release(consumer, std::move(sent[k]));
+      }
+    }
+    const auto t = pool.totals();
+    return static_cast<double>(t.hits) / static_cast<double>(t.hits + t.misses);
+  };
+  x10rt::BufferPool shared(1, 64);
+  x10rt::BufferPool sharded(kPlaces, 64);
+  const double shared_ratio = run(shared, false);
+  const double sharded_ratio = run(sharded, true);
+  EXPECT_GE(sharded_ratio, shared_ratio);
+  EXPECT_GT(sharded_ratio, 0.9);
 }
 
 // --- socketpair harness (ISSUE 6): two Transports, a real wire --------------

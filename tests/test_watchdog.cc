@@ -71,7 +71,9 @@ TEST(Watchdog, OffByDefault) {
   const auto& metrics = apgas::last_run_metrics();
   auto it = metrics.find("watchdog.diagnoses");
   // The counter is only created when a watchdog is constructed.
-  if (it != metrics.end()) EXPECT_EQ(it->second, 0u);
+  if (it != metrics.end()) {
+    EXPECT_EQ(it->second, 0u);
+  }
 }
 
 }  // namespace

@@ -43,7 +43,7 @@ void usage(const char* argv0) {
       argv0);
 }
 
-bool expect_value(int argc, char** argv, int i, const char* flag) {
+bool expect_value(int argc, int i, const char* flag) {
   if (i + 1 < argc) return true;
   std::fprintf(stderr, "apgas_launch: %s needs a value\n", flag);
   return false;
@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
       usage(argv[0]);
       return 0;
     } else if (arg == "-n") {
-      if (!expect_value(argc, argv, i, "-n")) return 2;
+      if (!expect_value(argc, i, "-n")) return 2;
       places = std::atoi(argv[++i]);
       if (places < 1) {
         std::fprintf(stderr, "apgas_launch: -n must be >= 1 (got %s)\n",
@@ -68,25 +68,25 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--workers") {
-      if (!expect_value(argc, argv, i, "--workers")) return 2;
+      if (!expect_value(argc, i, "--workers")) return 2;
       ::setenv("APGAS_WORKERS_PER_PLACE", argv[++i], 1);
     } else if (arg == "--chaos-drop") {
-      if (!expect_value(argc, argv, i, "--chaos-drop")) return 2;
+      if (!expect_value(argc, i, "--chaos-drop")) return 2;
       ::setenv("APGAS_CHAOS_DROP", argv[++i], 1);
     } else if (arg == "--chaos-dup") {
-      if (!expect_value(argc, argv, i, "--chaos-dup")) return 2;
+      if (!expect_value(argc, i, "--chaos-dup")) return 2;
       ::setenv("APGAS_CHAOS_DUP", argv[++i], 1);
     } else if (arg == "--chaos-delay") {
-      if (!expect_value(argc, argv, i, "--chaos-delay")) return 2;
+      if (!expect_value(argc, i, "--chaos-delay")) return 2;
       ::setenv("APGAS_CHAOS_DELAY", argv[++i], 1);
     } else if (arg == "--seed") {
-      if (!expect_value(argc, argv, i, "--seed")) return 2;
+      if (!expect_value(argc, i, "--seed")) return 2;
       ::setenv("APGAS_CHAOS_SEED", argv[++i], 1);
     } else if (arg == "--kill-place") {
-      if (!expect_value(argc, argv, i, "--kill-place")) return 2;
+      if (!expect_value(argc, i, "--kill-place")) return 2;
       ::setenv("APGAS_LAUNCH_KILL_PLACE", argv[++i], 1);
     } else if (arg == "--kill-after-ms") {
-      if (!expect_value(argc, argv, i, "--kill-after-ms")) return 2;
+      if (!expect_value(argc, i, "--kill-after-ms")) return 2;
       ::setenv("APGAS_LAUNCH_KILL_AFTER_MS", argv[++i], 1);
     } else if (arg == "--") {
       ++i;
